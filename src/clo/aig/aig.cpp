@@ -209,26 +209,31 @@ int Aig::mffc_size(std::uint32_t n) {
 
 std::vector<std::uint32_t> Aig::mffc_nodes(std::uint32_t n) {
   std::vector<std::uint32_t> result;
-  if (!is_and(n)) return result;
-  // Deref to expose the cone, then walk nodes whose refs dropped to zero.
+  mffc_nodes(n, result);
+  return result;
+}
+
+void Aig::mffc_nodes(std::uint32_t n, std::vector<std::uint32_t>& out) {
+  out.clear();
+  if (!is_and(n)) return;
+  // Deref to expose the cone (its nodes drop to nref 0), then collect it
+  // breadth-first with `out` as the queue. Queuing a node parks its nref
+  // at -1 so it is queued once; those refs are reset to 0 before the
+  // deref is undone.
   deref_count(n);
-  std::vector<std::uint32_t> stack{n};
-  while (!stack.empty()) {
-    const std::uint32_t v = stack.back();
-    stack.pop_back();
-    result.push_back(v);
+  out.push_back(n);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint32_t v = out[i];
     for (Lit f : {nodes_[v].f0, nodes_[v].f1}) {
       const std::uint32_t c = lit_node(f);
       if (is_and(c) && nodes_[c].nref == 0) {
-        if (std::find(result.begin(), result.end(), c) == result.end() &&
-            std::find(stack.begin(), stack.end(), c) == stack.end()) {
-          stack.push_back(c);
-        }
+        nodes_[c].nref = -1;
+        out.push_back(c);
       }
     }
   }
+  for (std::size_t i = 1; i < out.size(); ++i) nodes_[out[i]].nref = 0;
   ref_restore(n);
-  return result;
 }
 
 bool Aig::reaches(Lit root_lit, std::uint32_t target,

@@ -1,6 +1,7 @@
 #pragma once
 // K-feasible cut enumeration (priority cuts), used by the rewriting pass
-// (k = 4) and by the technology mapper (k = 4..6 cell matching).
+// (k = 4) and by the technology mapper (k <= 4: reduced cut functions are
+// matched as 16-bit tables).
 
 #include <cstdint>
 #include <vector>

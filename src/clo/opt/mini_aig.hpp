@@ -2,10 +2,10 @@
 // A small scratch AIG used to cost candidate structures before committing
 // them to the real graph: local structural hashing + constant folding, with
 // a replay step that instantiates the structure into a target Aig (where
-// global strash sharing may make it even cheaper).
+// global strash sharing may make it even cheaper). A MiniAig is reset and
+// reused across candidates, so after warm-up it builds without allocating.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "clo/aig/aig.hpp"
@@ -16,6 +16,10 @@ class MiniAig {
  public:
   /// `num_leaves` external inputs, indexed 1..num_leaves (node 0 = const0).
   explicit MiniAig(int num_leaves) : num_leaves_(num_leaves) {}
+
+  /// Drop every AND node and start over with `num_leaves` inputs; keeps
+  /// the buffers' capacity.
+  void reset(int num_leaves);
 
   aig::Lit leaf(int i) const { return aig::make_lit(1 + i); }
 
@@ -44,9 +48,26 @@ class MiniAig {
   struct Node {
     aig::Lit a, b;
   };
+  /// Open-addressing strash slot; live only when `stamp == stamp_`.
+  struct Slot {
+    std::uint64_t key = 0;
+    aig::Lit lit = 0;
+    std::uint32_t stamp = 0;
+  };
+
+  /// Marks the AND nodes in the cone of `root` (into `in_cone_`); returns
+  /// how many there are.
+  int mark_cone(aig::Lit root) const;
+  void grow_strash();
+
   int num_leaves_;
   std::vector<Node> nodes_;  // node id = num_leaves_ + 1 + index
-  std::unordered_map<std::uint64_t, aig::Lit> strash_;
+  std::vector<Slot> strash_;  // power-of-two size, at most half full
+  std::uint32_t stamp_ = 1;
+  // Traversal scratch of cone_size()/replay().
+  mutable std::vector<std::uint8_t> in_cone_;
+  mutable std::vector<std::uint32_t> stack_;
+  mutable std::vector<aig::Lit> map_;
 };
 
 }  // namespace clo::opt

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <unordered_map>
 
 #include "clo/aig/window.hpp"
 #include "clo/opt/passes.hpp"
@@ -13,38 +12,76 @@ using aig::TruthTable;
 
 namespace {
 
-/// Truth tables of the root, the leaves, and every divisor over the cut
-/// leaves, computed from the current structure.
+/// Functions of a window over its cut leaves, computed from the current
+/// structure: the root and every divisor, each stored as raw words in both
+/// polarities, so the candidate loops below test any phase combination
+/// without building tables. One instance is reused for every window of a
+/// pass.
 struct WindowFunctions {
-  bool valid = false;
-  TruthTable root_tt;
-  std::vector<std::pair<std::uint32_t, TruthTable>> divisor_tts;
+  std::size_t num_words = 0;
+  std::vector<std::uint32_t> nodes;       ///< divisor nodes
+  std::vector<std::uint64_t> words;       ///< per divisor: plain, complement
+  std::vector<std::uint64_t> root_words;  ///< plain, complement
+
+  std::size_t size() const { return nodes.size(); }
+  const std::uint64_t* divisor(std::size_t i, bool complemented) const {
+    return words.data() + (2 * i + (complemented ? 1 : 0)) * num_words;
+  }
+  void add_divisor(std::uint32_t d, const TruthTable& t) {
+    nodes.push_back(d);
+    append_both(words, t);
+  }
+  static void append_both(std::vector<std::uint64_t>& out,
+                          const TruthTable& t) {
+    const auto plain = t.words();
+    out.insert(out.end(), plain.begin(), plain.end());
+    const TruthTable neg = ~t;
+    const auto compl_words = neg.words();
+    out.insert(out.end(), compl_words.begin(), compl_words.end());
+  }
+  /// +1 if the function whose word i is word_of(i) equals the root
+  /// function, -1 if it equals its complement, 0 otherwise.
+  template <class WordOf>
+  int match(WordOf word_of) const {
+    bool same = true;
+    bool compl_same = true;
+    for (std::size_t i = 0; i < num_words; ++i) {
+      const std::uint64_t f = word_of(i);
+      same = same && f == root_words[i];
+      compl_same = compl_same && f == root_words[num_words + i];
+      if (!same && !compl_same) return 0;
+    }
+    return same ? 1 : -1;
+  }
 };
 
-WindowFunctions compute_window(Aig& g, std::uint32_t root,
-                               const std::vector<std::uint32_t>& leaves,
-                               const std::vector<std::uint32_t>& divisors,
-                               int max_nodes) {
-  WindowFunctions w;
-  const auto root_tt =
-      aig::try_cone_truth_table(g, aig::make_lit(root), leaves, max_nodes);
-  if (!root_tt) return w;
-  w.root_tt = *root_tt;
+/// Fills `w`; false if the root cone escapes the leaves or is too big.
+bool compute_window(Aig& g, std::uint32_t root,
+                    const std::vector<std::uint32_t>& leaves,
+                    const std::vector<std::uint32_t>& divisors, int max_nodes,
+                    aig::WindowScratch& scratch, WindowFunctions& w) {
+  w.nodes.clear();
+  w.words.clear();
+  w.root_words.clear();
+  const auto root_tt = aig::try_cone_truth_table(g, aig::make_lit(root),
+                                                 leaves, max_nodes, scratch);
+  if (!root_tt) return false;
+  w.num_words = root_tt->num_words();
+  WindowFunctions::append_both(w.root_words, *root_tt);
   const int k = static_cast<int>(leaves.size());
   for (std::uint32_t d : divisors) {
     // Leaves are their own variables; inner divisors are cone functions.
     auto it = std::find(leaves.begin(), leaves.end(), d);
     if (it != leaves.end()) {
-      w.divisor_tts.emplace_back(
+      w.add_divisor(
           d, TruthTable::variable(k, static_cast<int>(it - leaves.begin())));
       continue;
     }
-    const auto tt =
-        aig::try_cone_truth_table(g, aig::make_lit(d), leaves, max_nodes);
-    if (tt) w.divisor_tts.emplace_back(d, *tt);
+    const auto tt = aig::try_cone_truth_table(g, aig::make_lit(d), leaves,
+                                              max_nodes, scratch);
+    if (tt) w.add_divisor(d, *tt);
   }
-  w.valid = true;
-  return w;
+  return true;
 }
 
 }  // namespace
@@ -57,12 +94,16 @@ PassStats resub(Aig& g, const ResubParams& params) {
   stats.nodes_before = g.num_ands();
   stats.depth_before = g.depth();
 
+  aig::WindowScratch scratch;
+  std::vector<std::uint32_t> leaves;
+  std::vector<std::uint32_t> divisors;
+  WindowFunctions dv;
   const auto order = g.topo_order();
   for (std::uint32_t n : order) {
     if (!g.is_and(n)) continue;
     const int mffc = g.mffc_size(n);
     const int min_gain = params.zero_cost ? 0 : 1;
-    const auto leaves = aig::reconvergence_cut(g, n, params.max_window_leaves);
+    aig::reconvergence_cut(g, n, params.max_window_leaves, scratch, leaves);
     if (leaves.empty()) continue;
     bool leaves_ok = true;
     for (std::uint32_t leaf : leaves) {
@@ -72,19 +113,19 @@ PassStats resub(Aig& g, const ResubParams& params) {
       }
     }
     if (!leaves_ok) continue;
-    const auto divisors = aig::collect_divisors(g, n, leaves, params.max_divisors);
-    const auto window = compute_window(g, n, leaves, divisors, 400);
-    if (!window.valid) continue;
-    const TruthTable& target = window.root_tt;
+    aig::collect_divisors(g, n, leaves, params.max_divisors, scratch,
+                          divisors);
+    if (!compute_window(g, n, leaves, divisors, 400, scratch, dv)) continue;
 
     bool replaced = false;
     // --- 0-resub: an existing node already computes the function. -------
-    for (const auto& [d, tt] : window.divisor_tts) {
+    for (std::size_t i = 0; i < dv.size(); ++i) {
+      const std::uint32_t d = dv.nodes[i];
       if (d == n) continue;
-      Lit with = aig::kLitNull;
-      if (tt == target) with = aig::make_lit(d);
-      else if (tt == ~target) with = aig::make_lit(d, true);
-      if (with == aig::kLitNull) continue;
+      const std::uint64_t* t = dv.divisor(i, false);
+      const int m = dv.match([&](std::size_t w) { return t[w]; });
+      if (m == 0) continue;
+      const Lit with = aig::make_lit(d, m < 0);
       if (mffc < std::max(min_gain, 1)) break;  // gain = mffc
       g.replace(n, with);
       ++stats.accepted_moves;
@@ -94,19 +135,16 @@ PassStats resub(Aig& g, const ResubParams& params) {
     if (replaced) continue;
 
     // --- 1-resub: AND/OR of two divisors (any polarities). --------------
-    const auto& dv = window.divisor_tts;
     for (std::size_t i = 0; i < dv.size() && !replaced; ++i) {
       for (std::size_t j = i + 1; j < dv.size() && !replaced; ++j) {
         for (int pol = 0; pol < 4 && !replaced; ++pol) {
-          const TruthTable a = (pol & 1) ? ~dv[i].second : dv[i].second;
-          const TruthTable b = (pol & 2) ? ~dv[j].second : dv[j].second;
-          const TruthTable conj = a & b;
-          bool out_compl;
-          if (conj == target) out_compl = false;
-          else if (conj == ~target) out_compl = true;
-          else continue;
-          const Lit la = aig::make_lit(dv[i].first, (pol & 1) != 0);
-          const Lit lb = aig::make_lit(dv[j].first, (pol & 2) != 0);
+          const std::uint64_t* a = dv.divisor(i, (pol & 1) != 0);
+          const std::uint64_t* b = dv.divisor(j, (pol & 2) != 0);
+          const int m = dv.match([&](std::size_t w) { return a[w] & b[w]; });
+          if (m == 0) continue;
+          const bool out_compl = m < 0;
+          const Lit la = aig::make_lit(dv.nodes[i], (pol & 1) != 0);
+          const Lit lb = aig::make_lit(dv.nodes[j], (pol & 2) != 0);
           const int added = g.probe_and(la, lb) ? 0 : 1;
           if (mffc - added < min_gain) continue;  // cheap upper bound
           const Lit new_lit = aig::lit_notc(g.and_of(la, lb), out_compl);
@@ -139,17 +177,16 @@ PassStats resub(Aig& g, const ResubParams& params) {
         for (std::size_t c = b + 1; c < limit && !replaced; ++c) {
           if (c == a) continue;
           for (int pol = 0; pol < 8 && !replaced; ++pol) {
-            const TruthTable ta = (pol & 1) ? ~dv[a].second : dv[a].second;
-            const TruthTable tb = (pol & 2) ? ~dv[b].second : dv[b].second;
-            const TruthTable tc = (pol & 4) ? ~dv[c].second : dv[c].second;
-            const TruthTable f = ta & (tb | tc);
-            bool out_compl;
-            if (f == target) out_compl = false;
-            else if (f == ~target) out_compl = true;
-            else continue;
-            const Lit la = aig::make_lit(dv[a].first, (pol & 1) != 0);
-            const Lit lb = aig::make_lit(dv[b].first, (pol & 2) != 0);
-            const Lit lc = aig::make_lit(dv[c].first, (pol & 4) != 0);
+            const std::uint64_t* ta = dv.divisor(a, (pol & 1) != 0);
+            const std::uint64_t* tb = dv.divisor(b, (pol & 2) != 0);
+            const std::uint64_t* tc = dv.divisor(c, (pol & 4) != 0);
+            const int m = dv.match(
+                [&](std::size_t w) { return ta[w] & (tb[w] | tc[w]); });
+            if (m == 0) continue;
+            const bool out_compl = m < 0;
+            const Lit la = aig::make_lit(dv.nodes[a], (pol & 1) != 0);
+            const Lit lb = aig::make_lit(dv.nodes[b], (pol & 2) != 0);
+            const Lit lc = aig::make_lit(dv.nodes[c], (pol & 4) != 0);
             const std::size_t ands_before = g.num_ands();
             const Lit inner = g.or_of(lb, lc);
             const Lit top = g.and_of(la, inner);

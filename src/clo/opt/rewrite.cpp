@@ -1,5 +1,5 @@
 #include <algorithm>
-#include <unordered_map>
+#include <deque>
 
 #include "clo/aig/cuts.hpp"
 #include "clo/aig/window.hpp"
@@ -25,9 +25,14 @@ class LazyCuts {
   LazyCuts(Aig& g, int k, int max_cuts) : g_(g), k_(k), max_cuts_(max_cuts) {}
 
   const std::vector<Cut>& cuts_of(std::uint32_t n) {
-    auto it = memo_.find(n);
-    if (it != memo_.end()) return it->second;
-    std::vector<Cut> result;
+    // Nodes built during the pass extend the memo; a deque keeps the
+    // references handed out earlier valid.
+    if (n >= memo_.size()) {
+      memo_.resize(g_.num_slots());
+      done_.resize(g_.num_slots(), 0);
+    }
+    if (done_[n]) return memo_[n];
+    std::vector<Cut>& result = memo_[n];
     if (!g_.is_and(n)) {
       result.push_back(Cut{{n}});
     } else {
@@ -56,14 +61,16 @@ class LazyCuts {
       if (static_cast<int>(result.size()) > max_cuts_) result.resize(max_cuts_);
       result.push_back(Cut{{n}});
     }
-    return memo_.emplace(n, std::move(result)).first->second;
+    done_[n] = 1;
+    return result;
   }
 
  private:
   Aig& g_;
   int k_;
   int max_cuts_;
-  std::unordered_map<std::uint32_t, std::vector<Cut>> memo_;
+  std::deque<std::vector<Cut>> memo_;  // indexed by node
+  std::vector<std::uint8_t> done_;
 };
 
 }  // namespace
@@ -77,6 +84,9 @@ PassStats rewrite(Aig& g, const RewriteParams& params) {
   stats.depth_before = g.depth();
 
   LazyCuts cuts(g, params.cut_leaves, params.max_cuts_per_node);
+  aig::WindowScratch scratch;
+  Synthesizer synth;
+  std::vector<Lit> leaf_lits;
   const auto order = g.topo_order();
   struct Scored {
     int estimated_gain;
@@ -100,11 +110,12 @@ PassStats rewrite(Aig& g, const RewriteParams& params) {
         }
       }
       if (!leaves_ok) continue;
-      auto tt = aig::try_cone_truth_table(g, aig::make_lit(n), cut.leaves, 64);
+      auto tt = aig::try_cone_truth_table(g, aig::make_lit(n), cut.leaves, 64,
+                                          scratch);
       if (!tt) continue;
       // Pessimistic estimate (ignores strash sharing): allow slack that
       // sharing may recover during the exact evaluation below.
-      const int est = mffc - estimate_cost(*tt);
+      const int est = mffc - synth.estimate_cost(*tt);
       if (est < min_gain - 3) continue;
       scored.push_back(Scored{est, std::move(*tt), &cut});
     }
@@ -117,12 +128,11 @@ PassStats rewrite(Aig& g, const RewriteParams& params) {
     // `added_nodes` can never silently reuse another candidate's garbage,
     // and the post-build MFFC excludes nodes the candidate pins.
     for (const Scored& s : scored) {
-      std::vector<Lit> leaf_lits;
-      leaf_lits.reserve(s.cut->leaves.size());
+      leaf_lits.clear();
       for (std::uint32_t leaf : s.cut->leaves) {
         leaf_lits.push_back(aig::make_lit(leaf));
       }
-      const auto cand = synthesize_into(g, s.tt, leaf_lits);
+      const auto cand = synth.synthesize_into(g, s.tt, leaf_lits);
       const int gain = g.mffc_size(n) - cand.added_nodes;
       const bool identity = aig::lit_node(cand.lit) == n;
       const bool cyclic = !identity && g.reaches(cand.lit, n, s.cut->leaves);

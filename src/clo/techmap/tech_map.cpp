@@ -7,12 +7,12 @@
 #include <limits>
 #include <ostream>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
-#include "clo/aig/truth.hpp"
-
 #include "clo/aig/cuts.hpp"
-#include "clo/aig/simulate.hpp"
+#include "clo/aig/truth.hpp"
+#include "clo/aig/window.hpp"
 
 namespace clo::techmap {
 
@@ -25,12 +25,19 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Widest cut the mapper matches: reduced cut functions are packed into
+/// 16 bits (2^4 minterms).
+constexpr int kMaxCutLeaves = 4;
+
 struct Choice {
   int cell_index = -1;               ///< -1 = unresolved, -2 = wire
   bool via_inverter = false;         ///< implemented as INV(other polarity)
-  std::vector<std::uint32_t> leaves; ///< cut leaves in match input order
-  std::vector<bool> leaf_phase;      ///< polarity required of each leaf
-  std::vector<int> pin_of_input;     ///< cell pin driven by each leaf
+  int num_leaves = 0;
+  /// Cut leaves in match input order, the polarity required of each leaf,
+  /// and the cell pin each leaf drives (first num_leaves entries).
+  std::array<std::uint32_t, kMaxCutLeaves> leaves{};
+  std::array<bool, kMaxCutLeaves> leaf_phase{};
+  std::array<int, kMaxCutLeaves> pin_of_input{};
 };
 
 struct NodeCost {
@@ -39,36 +46,68 @@ struct NodeCost {
   Choice choice[2];
 };
 
-/// Reduce `tt` to its support variables; fills `support` with the indices
-/// of participating variables and returns the packed bits of the reduced
-/// function (over support.size() <= 4 variables).
-std::uint16_t reduce_support(const TruthTable& tt, std::vector<int>& support) {
-  support.clear();
-  for (int v = 0; v < tt.num_vars(); ++v) {
-    if (tt.has_var(v)) support.push_back(v);
-  }
-  const int m = static_cast<int>(support.size());
+/// A cut's function reduced to its support: `bits` over `m` variables,
+/// where variable i is cut leaf `support[i]`. m < 0 marks a trivial cut.
+struct CutFunction {
   std::uint16_t bits = 0;
-  for (int minterm = 0; minterm < (1 << m); ++minterm) {
-    std::size_t full = 0;
-    for (int i = 0; i < m; ++i) {
-      if ((minterm >> i) & 1) full |= std::size_t{1} << support[i];
-    }
-    if (tt.get_bit(full)) bits |= static_cast<std::uint16_t>(1u << minterm);
+  int m = -1;
+  std::array<int, kMaxCutLeaves> support{};
+};
+
+/// Reduce `tt` (over at most kMaxCutLeaves variables) to its support
+/// variables.
+CutFunction reduce_support(const TruthTable& tt) {
+  CutFunction fn;
+  fn.m = 0;
+  for (int v = 0; v < tt.num_vars(); ++v) {
+    if (tt.has_var(v)) fn.support[fn.m++] = v;
   }
-  return bits;
+  for (int minterm = 0; minterm < (1 << fn.m); ++minterm) {
+    std::size_t full = 0;
+    for (int i = 0; i < fn.m; ++i) {
+      if ((minterm >> i) & 1) full |= std::size_t{1} << fn.support[i];
+    }
+    if (tt.get_bit(full)) fn.bits |= static_cast<std::uint16_t>(1u << minterm);
+  }
+  return fn;
 }
 
 }  // namespace
 
 MappingResult tech_map(const Aig& g, const CellLibrary& lib,
                        const MapParams& params) {
+  if (params.cut_leaves < 2 || params.cut_leaves > kMaxCutLeaves) {
+    throw std::invalid_argument("tech_map: cut_leaves must be in [2, 4]");
+  }
   const bool delay_oriented = params.objective == MapParams::Objective::kDelay;
   aig::CutParams cut_params;
   cut_params.max_leaves = params.cut_leaves;
   cut_params.max_cuts = params.max_cuts;
   cut_params.keep_trivial = true;
   const aig::CutSet cuts(g, cut_params);
+  const auto order = g.topo_order();
+
+  // Every cut's reduced function, computed once for all selection rounds:
+  // cut j of node n is cut_fns[fn_begin[n] + j].
+  std::vector<std::size_t> fn_begin(g.num_slots(), 0);
+  std::vector<CutFunction> cut_fns;
+  {
+    aig::WindowScratch scratch;
+    for (std::uint32_t n : order) {
+      fn_begin[n] = cut_fns.size();
+      for (const Cut& cut : cuts.cuts_of(n)) {
+        if (cut.leaves.size() == 1 && cut.leaves[0] == n) {  // trivial
+          cut_fns.emplace_back();
+          continue;
+        }
+        const auto tt = aig::try_cone_truth_table(
+            g, aig::make_lit(n), cut.leaves,
+            std::numeric_limits<int>::max(), scratch);
+        if (!tt) throw std::logic_error("tech_map: cut does not bound its cone");
+        cut_fns.push_back(reduce_support(*tt));
+      }
+    }
+  }
 
   std::vector<NodeCost> cost(g.num_slots());
   const Cell& inv = lib.inverter();
@@ -84,7 +123,6 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
     return std::max(1, g.nrefs(n));
   };
 
-  const auto order = g.topo_order();
   auto run_selection = [&] {
   cost.assign(g.num_slots(), NodeCost{});
   // Constant node: free, arrival 0 (tie cells are ignored, like ABC).
@@ -101,13 +139,13 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
   }
   for (std::uint32_t n : order) {
     NodeCost& c = cost[n];
-    for (const Cut& cut : cuts.cuts_of(n)) {
-      if (cut.leaves.size() == 1 && cut.leaves[0] == n) continue;  // trivial
-      const TruthTable tt = aig::cone_truth_table(g, aig::make_lit(n), cut.leaves);
-      std::vector<int> support;
-      const std::uint16_t bits = reduce_support(tt, support);
-      const int m = static_cast<int>(support.size());
-      if (m == 0) continue;  // semantically constant cone: skip this cut
+    const auto& node_cuts = cuts.cuts_of(n);
+    for (std::size_t j = 0; j < node_cuts.size(); ++j) {
+      const Cut& cut = node_cuts[j];
+      const CutFunction& fn = cut_fns[fn_begin[n] + j];
+      const int m = fn.m;
+      if (m <= 0) continue;  // trivial cut, or semantically constant cone
+      const std::uint16_t bits = fn.bits;
       const std::uint16_t mask =
           static_cast<std::uint16_t>((1u << (1 << m)) - 1);
       for (int pol = 0; pol < 2; ++pol) {
@@ -115,7 +153,7 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
                                     : bits;
         // Single-support wire: the function is a leaf or its complement.
         if (m == 1) {
-          const std::uint32_t leaf = cut.leaves[support[0]];
+          const std::uint32_t leaf = cut.leaves[fn.support[0]];
           const bool phase = (f == 0x1);  // f == !x
           const double arr = cost[leaf].arrival[phase];
           const double af = cost[leaf].aflow[phase];
@@ -127,7 +165,12 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
           if (better) {
             c.arrival[pol] = arr;
             c.aflow[pol] = af;
-            c.choice[pol] = Choice{-2, false, {leaf}, {phase}, {}};  // wire
+            Choice wire;
+            wire.cell_index = -2;
+            wire.num_leaves = 1;
+            wire.leaves[0] = leaf;
+            wire.leaf_phase[0] = phase;
+            c.choice[pol] = wire;
           }
           continue;
         }
@@ -135,11 +178,10 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
           const Cell& cell = lib.cell(match.cell_index);
           double arr = 0.0;
           double af = cell.area_um2;
-          std::vector<std::uint32_t> leaves(m);
-          std::vector<bool> phases(m);
+          Choice candidate;
           bool feasible = true;
           for (int i = 0; i < m; ++i) {
-            const std::uint32_t leaf = cut.leaves[support[i]];
+            const std::uint32_t leaf = cut.leaves[fn.support[i]];
             const bool phase = match.input_phase[i];
             if (cost[leaf].arrival[phase] == kInf) {
               feasible = false;
@@ -147,8 +189,8 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
             }
             arr = std::max(arr, cost[leaf].arrival[phase]);
             af += cost[leaf].aflow[phase] / refs_of(leaf);
-            leaves[i] = leaf;
-            phases[i] = phase;
+            candidate.leaves[i] = leaf;
+            candidate.leaf_phase[i] = phase;
           }
           if (!feasible) continue;
           arr += cell.delay_ps;
@@ -161,8 +203,11 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
           if (better) {
             c.arrival[pol] = arr;
             c.aflow[pol] = af;
-            c.choice[pol] = Choice{match.cell_index, false, std::move(leaves),
-                                   std::move(phases), match.pin_of_input};
+            candidate.cell_index = match.cell_index;
+            candidate.num_leaves = m;
+            std::copy_n(match.pin_of_input.begin(), m,
+                        candidate.pin_of_input.begin());
+            c.choice[pol] = candidate;
           }
         }
       }
@@ -219,7 +264,7 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
         } else if (ch.cell_index == -2) {
           touch(ch.leaves[0], ch.leaf_phase[0] ? 1 : 0);
         } else if (ch.cell_index >= 0) {
-          for (std::size_t i = 0; i < ch.leaves.size(); ++i) {
+          for (int i = 0; i < ch.num_leaves; ++i) {
             touch(ch.leaves[i], ch.leaf_phase[i] ? 1 : 0);
           }
         }
@@ -316,7 +361,7 @@ MappingResult tech_map(const Aig& g, const CellLibrary& lib,
     if (ch.cell_index < 0) continue;  // unmapped (should not happen)
     const Cell& cell = lib.cell(ch.cell_index);
     std::vector<std::string> input_nets(cell.num_inputs);
-    for (std::size_t i = 0; i < ch.leaves.size(); ++i) {
+    for (int i = 0; i < ch.num_leaves; ++i) {
       input_nets[ch.pin_of_input[i]] =
           net_of(ch.leaves[i], ch.leaf_phase[i] ? 1 : 0);
       require(ch.leaves[i], ch.leaf_phase[i] ? 1 : 0);

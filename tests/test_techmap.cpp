@@ -3,6 +3,7 @@
 #include <cctype>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "clo/circuits/generators.hpp"
 #include "clo/opt/transform.hpp"
@@ -188,6 +189,25 @@ TEST(TechMap, OptimizedCircuitMapsSmaller) {
   EXPECT_LT(after.area_um2, before.area_um2);
 }
 
+
+TEST(TechMap, RejectsCutWidthsOutsideMatcherRange) {
+  // Reduced cut functions are matched as 16-bit tables (<= 4 inputs); a
+  // wider cut used to shift past 32 bits and map to a wrong cover.
+  const Aig g = circuits::make_benchmark("c432");
+  for (int k : {-1, 0, 1, 5, 6}) {
+    techmap::MapParams params;
+    params.cut_leaves = k;
+    EXPECT_THROW(techmap::tech_map(g, lib(), params), std::invalid_argument)
+        << "cut_leaves " << k;
+  }
+  for (int k : {2, 3, 4}) {
+    techmap::MapParams params;
+    params.cut_leaves = k;
+    const auto mapped = techmap::tech_map(g, lib(), params);
+    EXPECT_GT(mapped.area_um2, 0.0) << "cut_leaves " << k;
+    EXPECT_GT(mapped.delay_ps, 0.0) << "cut_leaves " << k;
+  }
+}
 
 TEST(Netlist, InstancesRecordedWhenRequested) {
   const Aig g = circuits::make_benchmark("c17");
