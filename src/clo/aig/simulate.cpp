@@ -1,8 +1,10 @@
 #include "clo/aig/simulate.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
-#include <unordered_map>
+
+#include "clo/aig/window.hpp"
 
 namespace clo::aig {
 
@@ -63,45 +65,15 @@ std::vector<TruthTable> po_truth_tables(const Aig& g) {
 
 TruthTable cone_truth_table(const Aig& g, Lit root,
                             const std::vector<std::uint32_t>& leaves) {
-  const int k = static_cast<int>(leaves.size());
-  if (k > 16) throw std::invalid_argument("cone_truth_table: cut too large");
-  std::unordered_map<std::uint32_t, TruthTable> value;
-  for (int i = 0; i < k; ++i) {
-    value.emplace(leaves[i], TruthTable::variable(k, i));
+  if (leaves.size() > TruthTable::kMaxVars) {
+    throw std::invalid_argument("cone_truth_table: cut too large");
   }
-  // Iterative post-order evaluation of the cone.
-  std::vector<std::pair<std::uint32_t, int>> stack{{lit_node(root), 0}};
-  while (!stack.empty()) {
-    auto& [n, phase] = stack.back();
-    if (value.count(n)) {
-      stack.pop_back();
-      continue;
-    }
-    if (n == 0) {
-      value.emplace(n, TruthTable::constant(k, false));
-      stack.pop_back();
-      continue;
-    }
-    if (g.is_pi(n)) {
-      throw std::logic_error("cone_truth_table: reached PI not in leaves");
-    }
-    if (phase == 0) {
-      phase = 1;
-      const std::uint32_t c0 = lit_node(g.fanin0(n));
-      const std::uint32_t c1 = lit_node(g.fanin1(n));
-      stack.emplace_back(c0, 0);  // may reallocate: n/phase now dangle
-      stack.emplace_back(c1, 0);
-    } else {
-      auto val_of = [&](Lit l) {
-        const TruthTable& t = value.at(lit_node(l));
-        return lit_is_compl(l) ? ~t : t;
-      };
-      value.emplace(n, val_of(g.fanin0(n)) & val_of(g.fanin1(n)));
-      stack.pop_back();
-    }
+  auto tt = try_cone_truth_table(g, root, leaves,
+                                 std::numeric_limits<int>::max());
+  if (!tt) {
+    throw std::logic_error("cone_truth_table: reached PI not in leaves");
   }
-  const TruthTable& t = value.at(lit_node(root));
-  return lit_is_compl(root) ? ~t : t;
+  return std::move(*tt);
 }
 
 CecResult cec(const Aig& a, const Aig& b, clo::Rng& rng, int random_words,
