@@ -87,6 +87,11 @@ clo::Rng::State get_rng(Reader& r) {
   for (int i = 0; i < 4; ++i) s.s[i] = r.get<std::uint64_t>();
   s.cached_gaussian = r.get<double>();
   s.has_cached_gaussian = r.get<std::uint8_t>() != 0;
+  if ((s.s[0] | s.s[1] | s.s[2] | s.s[3]) == 0) {
+    // xoshiro never leaves the all-zero state: every draw would be 0 and
+    // next_gaussian's rejection loop would spin forever.
+    throw std::runtime_error("checkpoint: all-zero rng state");
+  }
   return s;
 }
 

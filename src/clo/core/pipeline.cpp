@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "clo/core/checkpoint.hpp"
 #include "clo/opt/transform.hpp"
@@ -20,6 +21,19 @@ obs::Json series_json(const std::vector<double>& values) {
   obs::Json arr = obs::Json::array();
   for (double v : values) arr.push_back(obs::Json(v));
   return arr;
+}
+
+/// A CRC-valid dataset checkpoint can still hold shapes this config cannot
+/// train on; the trainers' fixed-size batches would overrun on them. The
+/// embedding's row count and raggedness are checked by its constructor.
+bool dataset_fits(const DatasetCheckpoint& c, const PipelineConfig& cfg) {
+  for (const auto& seq : c.dataset.sequences) {
+    if (static_cast<int>(seq.size()) != cfg.seq_len) return false;
+  }
+  for (const auto& row : c.embedding_table) {
+    if (static_cast<int>(row.size()) != cfg.embed_dim) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -105,10 +119,22 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
     }
   }
 
+  if (have_dataset) {
+    try {
+      if (!dataset_fits(dck, config_)) {
+        throw std::invalid_argument("shapes do not match the config");
+      }
+      embedding_ = std::make_unique<models::TransformEmbedding>(
+          std::move(dck.embedding_table));
+    } catch (const std::invalid_argument& e) {
+      CLO_LOG_WARN << "checkpoint: dataset phase unusable (" << e.what()
+                   << "); recomputing";
+      have_dataset = have_surrogate = have_diffusion = false;
+    }
+  }
+
   // ---- One-time pretraining (upper half of Fig. 1) -----------------------
   if (have_dataset) {
-    embedding_ = std::make_unique<models::TransformEmbedding>(
-        std::move(dck.embedding_table));
     dataset_ = std::move(dck.dataset);
     result.original = dck.original;
     result.dataset_seconds = dck.seconds;

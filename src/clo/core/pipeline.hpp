@@ -57,7 +57,8 @@ struct PipelineConfig {
   /// Resume from valid checkpoints in `checkpoint_dir` instead of
   /// recomputing. The Rng state stored at each phase boundary makes a
   /// resumed run bit-identical to an uninterrupted one with the same
-  /// config; stale or corrupt checkpoints silently fall back to
+  /// config; stale, corrupt or malformed checkpoints (wrong sequence
+  /// length or embedding width, an impossible Rng state) fall back to
   /// recomputing the phase.
   bool resume = false;
   /// After validation, prove every distinct surviving sequence equivalent

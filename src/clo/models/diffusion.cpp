@@ -151,6 +151,11 @@ DiffusionModel::TrainStats DiffusionModel::train(
     const util::CancelToken* cancel) {
   if (data.empty()) throw std::invalid_argument("diffusion train: no data");
   const int L = cfg_.seq_len, d = cfg_.embed_dim;
+  for (const auto& x0 : data) {
+    if (x0.size() != static_cast<std::size_t>(d) * L) {
+      throw std::invalid_argument("diffusion train: bad latent size");
+    }
+  }
   // Divergence guard: mirror the surrogate trainer — keep the last weights
   // known to produce a finite loss, and on a NaN/Inf iteration roll back,
   // halve the LR (fresh optimizer moments), and keep going.
@@ -257,6 +262,9 @@ std::vector<float> DiffusionModel::sample(clo::Rng& rng) {
 std::vector<float> DiffusionModel::predict_noise(
     const std::vector<float>& x_flat, int t) {
   const int L = cfg_.seq_len, d = cfg_.embed_dim;
+  if (x_flat.size() != static_cast<std::size_t>(d) * L) {
+    throw std::invalid_argument("predict_noise: bad latent size");
+  }
   nn::NoGradGuard no_grad;  // pure inference: skip the autograd graph
   Tensor x = Tensor::from_data({1, d, L}, to_channel_layout(x_flat, L, d));
   Tensor eps = unet_->forward(x, {t});

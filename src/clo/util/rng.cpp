@@ -1,6 +1,7 @@
 #include "clo/util/rng.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace clo {
 namespace {
@@ -97,6 +98,9 @@ Rng::State Rng::state() const {
 }
 
 void Rng::set_state(const State& state) {
+  if ((state.s[0] | state.s[1] | state.s[2] | state.s[3]) == 0) {
+    throw std::invalid_argument("Rng::set_state: all-zero state");
+  }
   for (int i = 0; i < 4; ++i) s_[i] = state.s[i];
   cached_gaussian_ = state.cached_gaussian;
   has_cached_gaussian_ = state.has_cached_gaussian;

@@ -57,6 +57,8 @@ class Rng {
     bool has_cached_gaussian = false;
   };
   State state() const;
+  /// Throws std::invalid_argument on the all-zero xoshiro state, which the
+  /// generator can never leave (no State from state() is all-zero).
   void set_state(const State& state);
 
  private:

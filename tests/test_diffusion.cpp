@@ -148,4 +148,23 @@ TEST(DiffusionModel, PredictNoiseDeterministic) {
   EXPECT_EQ(e1.size(), x.size());
 }
 
+TEST(DiffusionModel, RejectsLatentsOfTheWrongSize) {
+  clo::Rng rng(6);
+  const auto cfg = tiny_config();
+  DiffusionModel model(cfg, rng);
+  const std::size_t per = static_cast<std::size_t>(cfg.seq_len) * cfg.embed_dim;
+  for (std::size_t n : {per - 1, per + 1}) {
+    const std::vector<std::vector<float>> data = {
+        std::vector<float>(per, 0.5f), std::vector<float>(n, 0.5f)};
+    EXPECT_THROW(model.train(data, 2, 2, 1e-3f, rng), std::invalid_argument)
+        << n;
+    EXPECT_THROW(model.predict_noise(std::vector<float>(n, 0.5f), 3),
+                 std::invalid_argument)
+        << n;
+    EXPECT_THROW(model.predict_noise_batch({std::vector<float>(n, 0.5f)}, 3),
+                 std::invalid_argument)
+        << n;
+  }
+}
+
 }  // namespace

@@ -310,6 +310,20 @@ TEST_F(KernelTest, NaNParameterPoisonsBackwardToo) {
   EXPECT_TRUE(saw_nan);
 }
 
+// conv1d twin of the above: dL/dx = col2im(Wᵀ · gy) must carry a NaN
+// weight into dx even where the activations are all zero.
+TEST_F(KernelTest, NaNConvWeightPoisonsBackward) {
+  const float nan = std::nanf("");
+  auto x = nn::Tensor::zeros({1, 2, 4}, /*requires_grad=*/true);
+  auto w = nn::Tensor::from_data({1, 2, 3}, {0.0f, 0.0f, 0.0f, 0.0f, nan, 0.0f},
+                                 /*requires_grad=*/true);
+  auto b = nn::Tensor::zeros({1}, /*requires_grad=*/true);
+  nn::backward(nn::sum_all(nn::conv1d(x, w, b)));
+  for (int l = 0; l < 4; ++l) {
+    EXPECT_TRUE(std::isnan(x.grad()[4 + l])) << "dx[1][" << l << "]";
+  }
+}
+
 TEST_F(KernelTest, UNetForwardIsBitwiseIdenticalAcrossTargets) {
   if (!RequireBothTargets()) GTEST_SKIP() << "no AVX2 on this host";
   models::DiffusionConfig cfg;
@@ -366,6 +380,47 @@ TEST_F(KernelTest, TrainingStepIsBitwiseIdenticalAcrossTargets) {
   ASSERT_EQ(simd_params.size(), scalar_params.size());
   for (std::size_t i = 0; i < simd_params.size(); ++i) {
     EXPECT_TRUE(bitwise_equal(simd_params[i], scalar_params[i])) << "p" << i;
+  }
+}
+
+TEST_F(KernelTest, DenoiserTrainingIsBitwiseIdenticalAcrossPoolsAndTargets) {
+  // DiffusionModel::train runs the U-Net forward, the conv1d backward GEMMs
+  // and Adam. Every parameter must match the serial scalar run byte for
+  // byte with the kernel pool unset or fanned over 2 or 8 workers, on every
+  // dispatch target.
+  models::DiffusionConfig cfg;
+  Rng drng(12);
+  std::vector<std::vector<float>> data(6);
+  for (auto& x : data) {
+    x.resize(static_cast<std::size_t>(cfg.seq_len) * cfg.embed_dim);
+    for (auto& v : x) v = static_cast<float>(drng.next_gaussian());
+  }
+  auto train = [&](util::ThreadPool* pool) {
+    nn::kernel::PoolGuard guard(pool);
+    Rng rng(13);
+    models::DiffusionModel model(cfg, rng);
+    model.train(data, /*iterations=*/3, /*batch_size=*/4, 1e-3f, rng);
+    std::vector<nn::FloatBuf> out;
+    for (auto& p : model.unet().parameters()) out.push_back(p.data());
+    return out;
+  };
+  kernel::set_target(kernel::Target::kScalar);
+  const auto reference = train(nullptr);
+  util::ThreadPool pool2(2), pool8(8);
+  for (kernel::Target t : SupportedTargets()) {
+    kernel::set_target(t);
+    for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                   &pool2, &pool8}) {
+      const auto got = train(pool);
+      ASSERT_EQ(got.size(), reference.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].size(), reference[i].size());
+        EXPECT_EQ(0, std::memcmp(got[i].data(), reference[i].data(),
+                                 got[i].size() * sizeof(float)))
+            << "param " << i << " target " << kernel::target_name(t)
+            << " workers " << (pool == nullptr ? 0 : pool->size());
+      }
+    }
   }
 }
 

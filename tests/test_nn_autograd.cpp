@@ -149,6 +149,64 @@ TEST(Autograd, Conv1d) {
              [&](const Tensor& w2) { return sum_all(conv1d(x2, w2, b)); });
 }
 
+// conv1d's backward against a double-precision reference, driven by a
+// random upstream gradient r: sum_all's all-ones gradient cannot tell a
+// mis-ordered gy regroup (or a swapped dW/dx tap) from the right one.
+// Covers L < K, where most taps fall in the zero padding.
+TEST(Autograd, Conv1dBackwardMatchesDoubleReference) {
+  const int Ci = 2, Co = 3;
+  std::uint64_t seed = 100;
+  for (int K : {1, 3, 5}) {
+    for (int L : {1, 2, 5, 20}) {
+      for (int B : {1, 3}) {
+        Tensor x = random_tensor({B, Ci, L}, seed++);
+        Tensor w = random_tensor({Co, Ci, K}, seed++, 0.5f);
+        Tensor b = random_tensor({Co}, seed++);
+        const Tensor r = random_tensor({B, Co, L}, seed++);
+        backward(sum_all(mul(conv1d(x, w, b), r)));
+
+        const int pad = K / 2;
+        std::vector<double> dx(x.numel(), 0.0), dw(w.numel(), 0.0),
+            db(b.numel(), 0.0), mag_x(x.numel(), 0.0), mag_w(w.numel(), 0.0),
+            mag_b(b.numel(), 0.0);
+        for (int bi = 0; bi < B; ++bi) {
+          for (int co = 0; co < Co; ++co) {
+            for (int l = 0; l < L; ++l) {
+              const double g = r.data()[(bi * Co + co) * L + l];
+              db[co] += g;
+              mag_b[co] += std::abs(g);
+              for (int ci = 0; ci < Ci; ++ci) {
+                for (int k = 0; k < K; ++k) {
+                  const int li = l + k - pad;
+                  if (li < 0 || li >= L) continue;
+                  const int xi = (bi * Ci + ci) * L + li;
+                  const int wi = (co * Ci + ci) * K + k;
+                  dw[wi] += g * x.data()[xi];
+                  mag_w[wi] += std::abs(g * x.data()[xi]);
+                  dx[xi] += g * w.data()[wi];
+                  mag_x[xi] += std::abs(g * w.data()[wi]);
+                }
+              }
+            }
+          }
+        }
+        const auto expect_close = [&](const char* what, Tensor& t,
+                                      const std::vector<double>& ref,
+                                      const std::vector<double>& mag) {
+          for (std::size_t i = 0; i < ref.size(); ++i) {
+            EXPECT_NEAR(t.grad()[i], ref[i], 1e-5 * mag[i] + 1e-6)
+                << what << "[" << i << "] K=" << K << " L=" << L
+                << " B=" << B;
+          }
+        };
+        expect_close("dx", x, dx, mag_x);
+        expect_close("dW", w, dw, mag_w);
+        expect_close("db", b, db, mag_b);
+      }
+    }
+  }
+}
+
 TEST(Autograd, PoolingAndUpsample) {
   grad_check(random_tensor({2, 3, 8}, 31), [](const Tensor& x) {
     return sum_all(upsample1d(avg_pool1d(x)));

@@ -6,6 +6,7 @@
 #include <limits>
 #include <regex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,6 +105,14 @@ TEST(Rng, ForkIndependent) {
   Rng a(1);
   Rng c = a.fork();
   EXPECT_NE(a.next_u64(), c.next_u64());
+}
+
+TEST(Rng, SetStateRejectsAllZeroState) {
+  Rng a(1);
+  EXPECT_THROW(a.set_state(Rng::State{}), std::invalid_argument);
+  Rng b(1);
+  a.set_state(b.state());
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 TEST(Stats, MeanAndGeomean) {
