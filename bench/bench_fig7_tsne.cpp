@@ -71,9 +71,11 @@ int main(int argc, char** argv) {
   core::Qor qor_with{}, qor_without{};
   double with_area_mean = 0.0, without_area_mean = 0.0;
   double with_disc_mean = 0.0, without_disc_mean = 0.0;
+  auto with_runs = with_diff.run_restarts(orng, runs);
+  auto without_runs = without_diff.run_restarts(orng, runs);
   for (int r = 0; r < runs; ++r) {
-    auto a = with_diff.run(orng);
-    auto b = without_diff.run(orng);
+    auto& a = with_runs[r];
+    auto& b = without_runs[r];
     const auto qa = evaluator.evaluate(a.sequence);
     const auto qb = evaluator.evaluate(b.sequence);
     with_area_mean += qa.area_um2 / runs;

@@ -63,6 +63,17 @@ std::uint64_t pipeline_config_hash(const PipelineConfig& config,
   return h.hash();
 }
 
+CloPipeline::CloPipeline(PipelineConfig config) : config_(std::move(config)) {
+  if (config_.restarts < 1) {
+    throw std::invalid_argument("pipeline: restarts must be >= 1, got " +
+                                std::to_string(config_.restarts));
+  }
+  if (config_.dataset_size < 1) {
+    throw std::invalid_argument("pipeline: dataset size must be >= 1, got " +
+                                std::to_string(config_.dataset_size));
+  }
+}
+
 util::ThreadPool* CloPipeline::acquire_pool(
     std::unique_ptr<util::ThreadPool>* owned) const {
   if (external_pool_ != nullptr) {
@@ -351,9 +362,8 @@ PipelineResult CloPipeline::optimize(QorEvaluator& evaluator,
     clo::set_log_phase("optimize");
     Stopwatch w;
     ScopedTimer st(w);
-    result.restarts = optimizer.run_restarts_tolerant(
-        rng, config_.restarts, pool, config_.batch,
-        &result.optimize_quarantined, cancel);
+    result.restarts = optimizer.run_restarts(
+        rng, config_.restarts, pool, &result.optimize_quarantined, cancel);
     result.optimize_seconds = w.seconds();
     CLO_OBS_GAUGE("pipeline.optimize_seconds", result.optimize_seconds);
     for (const auto& f : result.optimize_quarantined) {

@@ -45,11 +45,6 @@ struct PipelineConfig {
   /// between the serial batched path (threads == 1) and the data-parallel
   /// per-sample path (threads >= 2, itself count-independent).
   int threads = 1;
-  /// Advance restarts in lockstep through the denoising schedule (one
-  /// batched U-Net + surrogate pass per step) instead of one thread per
-  /// restart. Retrieved sequences are identical either way; false is the
-  /// `--no-batch` fallback.
-  bool batch = true;
   /// When non-empty, persist a phase checkpoint (dataset, surrogate,
   /// diffusion) into this directory after each pretraining phase.
   /// Checkpoint I/O failures are warnings, never fatal.
@@ -113,7 +108,9 @@ struct PipelineResult {
 
 class CloPipeline {
  public:
-  explicit CloPipeline(PipelineConfig config) : config_(std::move(config)) {}
+  /// Throws std::invalid_argument, before any phase runs, when
+  /// `restarts` or `dataset_size` is below 1.
+  explicit CloPipeline(PipelineConfig config);
 
   /// Full run against one circuit — exactly pretrain() + optimize().
   /// The optional `cancel` token is polled at phase boundaries, per

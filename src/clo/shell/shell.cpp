@@ -321,14 +321,13 @@ void Shell::register_commands() {
          config.restarts = args.size() > 2 ? std::stoi(args[2]) : 2;
          config.diffusion_steps = 60;
          config.threads = sh.threads_;
-         config.batch = sh.batch_;
          config.checkpoint_dir = sh.checkpoint_dir_;
          config.resume = sh.resume_;
          config.verify = sh.verify_;
          core::QorEvaluator evaluator(sh.need_design());
-         core::CloPipeline pipeline(config);
          core::PipelineResult r;
          try {
+           core::CloPipeline pipeline(config);
            r = pipeline.run(evaluator);
          } catch (const std::exception& e) {
            // Even a fatal run leaves an intact, parseable report behind
@@ -424,22 +423,6 @@ void Shell::register_commands() {
        [](Shell& sh, const auto& args, std::ostream& out) {
          if (args.size() > 1) sh.threads_ = std::stoi(args[1]);
          out << "threads = " << sh.threads_ << "\n";
-         return true;
-       }});
-  commands_.push_back(
-      {"batch",
-       "batch [on|off] — set/show tune's batched lockstep optimizer",
-       [](Shell& sh, const auto& args, std::ostream& out) {
-         if (args.size() > 1) {
-           if (args[1] == "on") {
-             sh.batch_ = true;
-           } else if (args[1] == "off") {
-             sh.batch_ = false;
-           } else {
-             throw std::runtime_error("usage: batch [on|off]");
-           }
-         }
-         out << "batch = " << (sh.batch_ ? "on" : "off") << "\n";
          return true;
        }});
   commands_.push_back(

@@ -141,7 +141,7 @@ TEST(Optimizer, AblationModeRunsWithoutDiffusionQuality) {
   core::OptimizeParams params;
   params.use_diffusion = false;
   core::ContinuousOptimizer opt(*surrogate, diffusion, emb, params);
-  const auto result = opt.run(rng);
+  const auto result = opt.run_restarts(rng, 1).at(0);
   EXPECT_EQ(result.sequence.size(), 20u);
   EXPECT_EQ(result.latent.size(), 20u * 8u);
   EXPECT_FALSE(result.trace.empty());
@@ -165,7 +165,7 @@ TEST(Optimizer, TraceEndsAtFinalStepInBothBranches) {
     params.use_diffusion = use_diffusion;
     core::ContinuousOptimizer opt(*surrogate, diffusion, emb, params);
     clo::Rng orng(31);
-    const auto result = opt.run(orng);
+    const auto result = opt.run_restarts(orng, 1).at(0);
     ASSERT_FALSE(result.trace.empty()) << "diffusion=" << use_diffusion;
     EXPECT_EQ(result.trace.back().t, 0) << "diffusion=" << use_diffusion;
     // Steps are traced in schedule order, strictly descending in t.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "clo/circuits/generators.hpp"
 #include "clo/core/pipeline.hpp"
@@ -114,6 +115,26 @@ TEST(Pipeline, DeterministicGivenSeed) {
   EXPECT_EQ(opt::sequence_to_string(a.best_sequence),
             opt::sequence_to_string(b.best_sequence));
   EXPECT_DOUBLE_EQ(a.best.area_um2, b.best.area_um2);
+}
+
+// The constructor rejects restart and dataset counts the pipeline cannot
+// run, before any phase (labelling, training) starts.
+TEST(Pipeline, RejectsNegativeRestarts) {
+  auto cfg = tiny_config();
+  cfg.restarts = -1;
+  EXPECT_THROW(core::CloPipeline{cfg}, std::invalid_argument);
+}
+
+TEST(Pipeline, RejectsZeroRestarts) {
+  auto cfg = tiny_config();
+  cfg.restarts = 0;
+  EXPECT_THROW(core::CloPipeline{cfg}, std::invalid_argument);
+}
+
+TEST(Pipeline, RejectsZeroDatasetSize) {
+  auto cfg = tiny_config();
+  cfg.dataset_size = 0;
+  EXPECT_THROW(core::CloPipeline{cfg}, std::invalid_argument);
 }
 
 }  // namespace

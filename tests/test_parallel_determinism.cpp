@@ -47,7 +47,8 @@ TEST(ParallelDeterminism, DatasetIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.delay_std, parallel.delay_std);
 }
 
-std::vector<core::OptimizeResult> run_restarts(util::ThreadPool* pool) {
+std::vector<core::OptimizeResult> run_restarts(util::ThreadPool* pool,
+                                               bool use_diffusion = true) {
   const aig::Aig g = circuits::make_benchmark("c17");
   clo::Rng rng(5);
   models::TransformEmbedding embedding(8, rng);
@@ -58,27 +59,36 @@ std::vector<core::OptimizeResult> run_restarts(util::ThreadPool* pool) {
   dcfg.seq_len = 8;
   dcfg.num_steps = 16;
   models::DiffusionModel diffusion(dcfg, rng);
-  core::ContinuousOptimizer optimizer(*surrogate, diffusion, embedding);
+  core::OptimizeParams params;
+  params.use_diffusion = use_diffusion;
+  core::ContinuousOptimizer optimizer(*surrogate, diffusion, embedding,
+                                      params);
   clo::Rng orng(23);
   return optimizer.run_restarts(orng, 6, pool);
 }
 
 TEST(ParallelDeterminism, OptimizerRestartsIdenticalAcrossThreadCounts) {
-  const auto serial = run_restarts(nullptr);
+  // Serial is one six-row lockstep chunk; eight workers make six one-row
+  // chunks. Covers Eq. 13 and the Eq. 14 ablation.
   util::ThreadPool pool8(8);
-  const auto parallel = run_restarts(&pool8);
+  for (const bool use_diffusion : {true, false}) {
+    const auto serial = run_restarts(nullptr, use_diffusion);
+    const auto parallel = run_restarts(&pool8, use_diffusion);
 
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t r = 0; r < serial.size(); ++r) {
-    EXPECT_EQ(serial[r].sequence, parallel[r].sequence) << "restart " << r;
-    ASSERT_EQ(serial[r].latent.size(), parallel[r].latent.size());
-    // The latents must match bit for bit, not within a tolerance.
-    EXPECT_EQ(0, std::memcmp(serial[r].latent.data(),
-                             parallel[r].latent.data(),
-                             serial[r].latent.size() * sizeof(float)))
-        << "restart " << r;
-    EXPECT_EQ(serial[r].discrepancy, parallel[r].discrepancy);
-    EXPECT_EQ(serial[r].predicted_objective, parallel[r].predicted_objective);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t r = 0; r < serial.size(); ++r) {
+      EXPECT_EQ(serial[r].sequence, parallel[r].sequence)
+          << "diffusion=" << use_diffusion << " restart " << r;
+      ASSERT_EQ(serial[r].latent.size(), parallel[r].latent.size());
+      // The latents must match bit for bit, not within a tolerance.
+      EXPECT_EQ(0, std::memcmp(serial[r].latent.data(),
+                               parallel[r].latent.data(),
+                               serial[r].latent.size() * sizeof(float)))
+          << "diffusion=" << use_diffusion << " restart " << r;
+      EXPECT_EQ(serial[r].discrepancy, parallel[r].discrepancy);
+      EXPECT_EQ(serial[r].predicted_objective,
+                parallel[r].predicted_objective);
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -94,6 +95,25 @@ TEST(Shell, TuneWithVerifyReportsTheVerdict) {
   const std::string report = ss.str();
   EXPECT_NE(report.find("\"verify\": \"equivalent\""), std::string::npos);
   EXPECT_NE(report.find("\"verification\""), std::string::npos);
+}
+
+TEST(Shell, TuneRejectsCountsItCannotRunBeforeTraining) {
+  Shell sh;
+  const std::string report_path = testing::TempDir() + "/rejected_report.json";
+  sh.set_report_path(report_path);
+  run(sh, "gen c17");
+  for (const char* cmd : {"tune 8 -1", "tune 8 0", "tune 0 2"}) {
+    std::remove(report_path.c_str());
+    const std::string out = run(sh, cmd);
+    EXPECT_TRUE(sh.last_failed()) << cmd;
+    EXPECT_NE(out.find("must be >= 1"), std::string::npos) << out;
+    // A rejected config still leaves a parseable "failed" report behind.
+    std::ifstream f(report_path);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    EXPECT_NE(ss.str().find("\"status\": \"failed\""), std::string::npos)
+        << cmd;
+  }
 }
 
 TEST(Shell, SeqCommand) {

@@ -9,8 +9,6 @@
 // Options:
 //   --threads N   worker threads for `tune` (default 0 = hardware
 //                 concurrency; 1 runs fully serial)
-//   --no-batch    use the per-restart optimizer fallback instead of the
-//                 batched lockstep path (identical sequences, slower)
 //   --no-simd     force the portable scalar nn kernels instead of the
 //                 runtime-dispatched SIMD ones (identical results, slower)
 //   --kernel-target T
@@ -233,10 +231,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       shell.set_threads(std::atoi(argv[++i]));
-      continue;
-    }
-    if (arg == "--no-batch") {
-      shell.set_batch(false);
       continue;
     }
     if (arg == "--no-simd") {
