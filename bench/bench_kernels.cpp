@@ -1,27 +1,26 @@
 // Micro-benchmark for the clo::nn::kernel dispatch layer: times every
 // kernel on the shapes the real models hit (LSTM/MLP surrogate matmuls,
 // U-Net conv1d im2col dots, matmul_ta backward slabs, Adam slabs,
-// embedding nearest-scan sqdist), once per dispatch target, and records
-// speedups against the scalar target at the same thread count.
+// embedding nearest-scan sqdist), once per dispatch target (scalar, and
+// AVX2 where the host supports it), and records speedups against the
+// scalar target at the same thread count.
 //
 //   ./bench_kernels [--out BENCH_kernels.json] [--min-ms 50] [--large]
-//                   [--full] [--threads N] [--kernel-target T] [--no-simd]
+//                   [--full] [--threads N] [--no-simd]
 //
 // --threads N runs the tiled GEMM fan-out on an N-worker pool (1 =
 // serial); --full adds the paper-scale batched shapes (R=30 restarts over
-// [R, L*d] latents against full-width layers). --kernel-target restricts
-// timing to one named target (scalar is always also run: it is the parity
-// reference and the speedup baseline).
+// [R, L*d] latents against full-width layers); --no-simd times the scalar
+// target only.
 //
 // Before timing anything it verifies the determinism contract the layer
-// documents: for every case, every compiled-and-supported target at every
-// thread count in {1, N} must produce BITWISE identical output to the
-// serial scalar run (see kernel.hpp). A mismatch is a hard failure, not a
-// footnote — CI runs this as the cross-target/cross-thread parity gate.
+// documents: for every case, both targets at every thread count in
+// {1, N} must produce BITWISE identical output to the serial scalar run
+// (see kernel.hpp). A mismatch is a hard failure, not a footnote — CI
+// runs this as the cross-target/cross-thread parity gate.
 //
 // Output JSON (schema "clo.bench.kernels.v1"):
-//   { schema, simd_compiled, simd_supported, default_target, threads,
-//     host_cores, min_ms,
+//   { schema, simd_supported, default_target, threads, host_cores, min_ms,
 //     results: [ { name, target, threads, flops_per_op, ns, gflops,
 //                  speedup, parity } ] }
 // One row per (case, target); `speedup` is scalar_ns / ns at the same
@@ -112,27 +111,11 @@ int main(int argc, char** argv) {
   const int threads = std::atoi(args.get("threads", "1").c_str());
   if (args.has("no-simd")) kernel::set_simd_enabled(false);
 
-  // The targets to time: every compiled-and-supported one, or just the
-  // named one (plus scalar, the reference) behind --kernel-target.
-  std::vector<kernel::Target> targets = {kernel::Target::kScalar};
-  const std::string only = args.get("kernel-target", "");
-  const bool all_targets = only.empty() || only == "auto";
-  if (!all_targets && only != "scalar") {
-    kernel::Target parsed;
-    if (!kernel::parse_target(only.c_str(), &parsed)) {
-      std::fprintf(stderr, "unknown --kernel-target %s\n", only.c_str());
-      return 2;
-    }
-  }
-  for (kernel::Target t : {kernel::Target::kAvx2, kernel::Target::kAvx512}) {
-    if (!kernel::target_compiled(t) || !kernel::target_supported(t)) continue;
-    if (!all_targets && only != kernel::target_name(t)) continue;
-    if (kernel::simd_enabled()) targets.push_back(t);
-  }
-  if (!all_targets && only != "scalar" && targets.size() == 1) {
-    std::fprintf(stderr, "note: target %s not supported here; scalar only\n",
-                 only.c_str());
-  }
+  // The targets to time, as simd_enabled settings: scalar (the parity
+  // reference and speedup baseline), then AVX2 unless --no-simd or the
+  // host lacks it.
+  std::vector<bool> targets = {false};
+  if (kernel::simd_enabled()) targets.push_back(true);
 
   // Worker pool for the tiled GEMM fan-out (null = serial). The pool is
   // installed per timing/parity run via PoolGuard so `threads 1` rows
@@ -322,18 +305,17 @@ int main(int argc, char** argv) {
     });
   }
 
-  std::printf(
-      "kernels: simd_compiled=%d simd_supported=%d target=%s threads=%d\n",
-      kernel::simd_compiled() ? 1 : 0, kernel::simd_supported() ? 1 : 0,
-      kernel::active_target(), threads);
+  std::printf("kernels: simd_supported=%d target=%s threads=%d\n",
+              kernel::simd_supported() ? 1 : 0, kernel::active_target(),
+              threads);
 
-  const kernel::Target default_target = kernel::current_target();
+  const bool default_simd = kernel::simd_enabled();
   obs::Json results = obs::Json::array();
   bool parity_ok = true;
   for (const auto& c : cases) {
     // Reference bytes: serial scalar run — the portable ground truth every
     // (target, thread-count) combination must reproduce bit-for-bit.
-    kernel::set_target(kernel::Target::kScalar);
+    kernel::set_simd_enabled(false);
     AlignedFloats reference;
     {
       kernel::PoolGuard serial(nullptr);
@@ -343,7 +325,7 @@ int main(int argc, char** argv) {
     // Parity gate: every target x every thread count in {1, threads}.
     std::vector<std::string> parity(targets.size(), "bitwise");
     for (std::size_t ti = 0; ti < targets.size(); ++ti) {
-      kernel::set_target(targets[ti]);
+      kernel::set_simd_enabled(targets[ti]);
       bool ok = true;
       {
         kernel::PoolGuard serial(nullptr);
@@ -364,14 +346,13 @@ int main(int argc, char** argv) {
     kernel::PoolGuard timing_pool(pool.get());
     double scalar_ns = 0.0;
     for (std::size_t ti = 0; ti < targets.size(); ++ti) {
-      kernel::set_target(targets[ti]);
+      kernel::set_simd_enabled(targets[ti]);
       const double ns = time_ns_per_op(c, min_ms);
-      if (targets[ti] == kernel::Target::kScalar) scalar_ns = ns;
+      if (!targets[ti]) scalar_ns = ns;
 
       obs::Json row = obs::Json::object();
       row["name"] = obs::Json(c.name);
-      row["target"] =
-          obs::Json(std::string(kernel::target_name(targets[ti])));
+      row["target"] = obs::Json(std::string(kernel::active_target()));
       row["threads"] = obs::Json(static_cast<double>(threads));
       row["flops_per_op"] = obs::Json(c.flops_per_op);
       row["ns"] = obs::Json(ns);
@@ -381,17 +362,16 @@ int main(int argc, char** argv) {
       results.push_back(std::move(row));
 
       std::printf("%-32s %-7s t%-2d %12.1f ns  x%5.2f  %s\n", c.name.c_str(),
-                  kernel::target_name(targets[ti]), threads, ns,
+                  kernel::active_target(), threads, ns,
                   scalar_ns > 0.0 ? scalar_ns / ns : 1.0,
                   parity[ti].c_str());
     }
   }
   // Leave the dispatch switch where the command line asked for it.
-  kernel::set_target(default_target);
+  kernel::set_simd_enabled(default_simd);
 
   obs::Json doc = obs::Json::object();
   doc["schema"] = obs::Json(std::string("clo.bench.kernels.v1"));
-  doc["simd_compiled"] = obs::Json(kernel::simd_compiled());
   doc["simd_supported"] = obs::Json(kernel::simd_supported());
   doc["default_target"] = obs::Json(std::string(kernel::active_target()));
   doc["threads"] = obs::Json(static_cast<double>(threads));

@@ -410,28 +410,32 @@ PipelineResult CloPipeline::optimize(QorEvaluator& evaluator,
                      << ex.what();
       }
     }
+    // The weighted, normalized objective the restarts minimize.
+    auto score = [&](const Qor& q) {
+      return config_.optimize.weight_area *
+                 (q.area_um2 - dataset_.area_mean) / dataset_.area_std +
+             config_.optimize.weight_delay *
+                 (q.delay_ps - dataset_.delay_mean) / dataset_.delay_std;
+    };
     double best_score = 1e300;
     bool any_valid = false;
     for (std::size_t i = 0; i < result.restarts.size(); ++i) {
       if (!valid[i]) continue;
       const auto& restart = result.restarts[i];
       const Qor q = result.restart_qor[i];
-      const double score =
-          config_.optimize.weight_area *
-              (q.area_um2 - dataset_.area_mean) / dataset_.area_std +
-          config_.optimize.weight_delay *
-              (q.delay_ps - dataset_.delay_mean) / dataset_.delay_std;
-      if (score < best_score) {
-        best_score = score;
+      const double s = score(q);
+      if (s < best_score) {
+        best_score = s;
         result.best = q;
         result.best_sequence = restart.sequence;
         result.best_discrepancy = restart.discrepancy;
         any_valid = true;
       }
     }
-    if (!any_valid) {
-      // Every restart failed: report the unmodified circuit rather than a
-      // zero-QoR artifact.
+    if (!any_valid || score(result.original) < best_score) {
+      // Every restart failed, or each one made the circuit worse: report
+      // the unmodified circuit (empty sequence) rather than a zero-QoR
+      // artifact or a regression labelled "optimized".
       result.best = result.original;
       result.best_sequence.clear();
       result.best_discrepancy = 0.0;
@@ -502,9 +506,9 @@ obs::Json pipeline_report(const PipelineResult& result,
   report["schema"] = obs::Json(std::string("clo.report.v1"));
   report["run"] = obs::Json(clo::run_id());
   report["status"] = obs::Json(std::string("ok"));
-  // Which nn kernel dispatch target produced these numbers ("avx512",
-  // "avx2", or "scalar") and how many pool workers the tiled GEMM could
-  // fan out over. All targets and thread counts are bitwise identical by
+  // Which nn kernel dispatch target produced these numbers ("avx2" or
+  // "scalar") and how many pool workers the tiled GEMM could fan out
+  // over. Both targets and all thread counts are bitwise identical by
   // contract; recording them lets CI diff a --no-simd or --threads run
   // against a default run.
   report["kernel_target"] = obs::Json(std::string(nn::kernel::active_target()));

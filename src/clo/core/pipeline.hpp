@@ -65,6 +65,9 @@ struct PipelineConfig {
 
 struct PipelineResult {
   Qor original;
+  /// The lowest-scoring valid restart on the restarts' weighted objective,
+  /// or `original` with an empty `best_sequence` when no valid restart
+  /// scores below the unmodified circuit.
   Qor best;
   opt::Sequence best_sequence;
   double best_discrepancy = 0.0;

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <string_view>
 
 #include "clo/nn/kernel_detail.hpp"
 #include "clo/util/thread_pool.hpp"
@@ -10,11 +9,9 @@
 // Portable blocked scalar kernels + the runtime dispatch layer + the tile
 // fan-out for the threaded GEMM. The AVX2 twins live in kernel_avx2.cpp
 // (compiled only when the toolchain supports -mavx2; CMake then defines
-// CLO_KERNEL_AVX2) and the AVX-512 twins in kernel_avx512.cpp (-mavx512f,
-// CLO_KERNEL_AVX512 — only ever defined together with CLO_KERNEL_AVX2).
-// All kernel TUs are built with -ffp-contract=off so no mul+add pair is
-// ever fused into an FMA — fusion would break the bitwise scalar/vector
-// equality the dispatch contract promises (see kernel.hpp).
+// CLO_KERNEL_AVX2). Both kernel TUs are built with -ffp-contract=off so no
+// mul+add pair is ever fused into an FMA — fusion would break the bitwise
+// scalar/vector equality the dispatch contract promises (see kernel.hpp).
 
 namespace clo::nn::kernel {
 
@@ -45,51 +42,12 @@ void matmul_ta_ld(const float* a, int lda, const float* b, int ldb, float* out,
 }  // namespace avx2
 #endif
 
-#ifdef CLO_KERNEL_AVX512
-namespace avx512 {
-float dot(const float* a, const float* b, std::size_t n);
-float sqdist(const float* a, const float* b, std::size_t n);
-float sum(const float* a, std::size_t n);
-float max_value(const float* a, std::size_t n);
-void axpy(float* y, float a, const float* x, std::size_t n);
-void acc(float* y, const float* x, std::size_t n);
-void add(float* out, const float* a, const float* b, std::size_t n);
-void sub(float* out, const float* a, const float* b, std::size_t n);
-void mul(float* out, const float* a, const float* b, std::size_t n);
-void scale(float* out, const float* a, float s, std::size_t n);
-void div_inplace(float* y, float z, std::size_t n);
-void adam_update(float* p, float* m, float* v, const float* g, std::size_t n,
-                 float beta1, float beta2, float lr, float bias_c1,
-                 float bias_c2, float eps);
-void matmul_ld(const float* a, int lda, const float* b, int ldb, float* out,
-               int ldo, int m, int k, int n, bool transpose_b);
-void matmul_ta_ld(const float* a, int lda, const float* b, int ldb, float* out,
-                  int ldo, int m, int k, int n);
-}  // namespace avx512
-#endif
-
 // --- Dispatch state -----------------------------------------------------
 
 namespace {
 
-bool cpu_has_avx2_fma() {
-#if defined(CLO_KERNEL_AVX2) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-bool cpu_has_avx512f() {
-#if defined(CLO_KERNEL_AVX512) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
-
-std::atomic<int>& target_state() {
-  static std::atomic<int> state{static_cast<int>(best_supported_target())};
+std::atomic<bool>& simd_state() {
+  static std::atomic<bool> state{simd_supported()};
   return state;
 }
 
@@ -100,105 +58,23 @@ std::atomic<clo::util::ThreadPool*>& pool_state() {
 
 }  // namespace
 
-bool target_compiled(Target t) {
-  switch (t) {
-    case Target::kScalar:
-      return true;
-    case Target::kAvx2:
-#ifdef CLO_KERNEL_AVX2
-      return true;
+bool simd_supported() {
+#if defined(CLO_KERNEL_AVX2) && defined(__GNUC__)
+  static const bool supported =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return supported;
 #else
-      return false;
-#endif
-    case Target::kAvx512:
-#ifdef CLO_KERNEL_AVX512
-      return true;
-#else
-      return false;
-#endif
-  }
   return false;
+#endif
 }
 
-bool target_supported(Target t) {
-  switch (t) {
-    case Target::kScalar:
-      return true;
-    case Target::kAvx2:
-      return cpu_has_avx2_fma();
-    case Target::kAvx512:
-      // The AVX-512 TU also uses 256-bit ops, so AVX2+FMA support is part
-      // of its gate (every AVX-512F CPU has them, but be explicit).
-      return cpu_has_avx512f() && cpu_has_avx2_fma();
-  }
-  return false;
-}
-
-Target best_supported_target() {
-  static const Target best = [] {
-    if (target_supported(Target::kAvx512)) return Target::kAvx512;
-    if (target_supported(Target::kAvx2)) return Target::kAvx2;
-    return Target::kScalar;
-  }();
-  return best;
-}
-
-Target set_target(Target t) {
-  Target actual = Target::kScalar;
-  for (Target c : {Target::kAvx2, Target::kAvx512}) {
-    if (static_cast<int>(c) <= static_cast<int>(t) && target_supported(c)) {
-      actual = c;
-    }
-  }
-  target_state().store(static_cast<int>(actual), std::memory_order_relaxed);
-  return actual;
-}
-
-Target current_target() {
-  return static_cast<Target>(target_state().load(std::memory_order_relaxed));
-}
-
-const char* target_name(Target t) {
-  switch (t) {
-    case Target::kAvx512:
-      return "avx512";
-    case Target::kAvx2:
-      return "avx2";
-    case Target::kScalar:
-      return "scalar";
-  }
-  return "scalar";
-}
-
-const char* active_target() { return target_name(current_target()); }
-
-bool parse_target(const char* name, Target* out) {
-  const std::string_view s{name == nullptr ? "" : name};
-  if (s == "scalar") {
-    *out = Target::kScalar;
-  } else if (s == "avx2") {
-    *out = Target::kAvx2;
-  } else if (s == "avx512") {
-    *out = Target::kAvx512;
-  } else if (s == "auto") {
-    *out = best_supported_target();
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool simd_compiled() {
-  return target_compiled(Target::kAvx2) || target_compiled(Target::kAvx512);
-}
-
-bool simd_supported() { return best_supported_target() != Target::kScalar; }
-
-bool simd_enabled() { return current_target() != Target::kScalar; }
+bool simd_enabled() { return simd_state().load(std::memory_order_relaxed); }
 
 void set_simd_enabled(bool on) {
-  set_target(on ? best_supported_target() : Target::kScalar);
+  simd_state().store(on && simd_supported(), std::memory_order_relaxed);
 }
+
+const char* active_target() { return simd_enabled() ? "avx2" : "scalar"; }
 
 // --- Thread-pool registration -------------------------------------------
 
@@ -388,19 +264,9 @@ void matmul_ta_ld(const float* a, int lda, const float* b, int ldb, float* out,
 
 // --- Public entry points ------------------------------------------------
 
-#if defined(CLO_KERNEL_AVX512)
-#define CLO_KERNEL_DISPATCH(call)       \
-  switch (current_target()) {           \
-    case Target::kAvx512:               \
-      return avx512::call;              \
-    case Target::kAvx2:                 \
-      return avx2::call;                \
-    default:                            \
-      return scalar::call;              \
-  }
-#elif defined(CLO_KERNEL_AVX2)
-#define CLO_KERNEL_DISPATCH(call)                        \
-  if (current_target() != Target::kScalar) return avx2::call; \
+#ifdef CLO_KERNEL_AVX2
+#define CLO_KERNEL_DISPATCH(call)        \
+  if (simd_enabled()) return avx2::call; \
   return scalar::call
 #else
 #define CLO_KERNEL_DISPATCH(call) return scalar::call

@@ -1,15 +1,12 @@
 #pragma once
 // clo::nn::kernel — runtime-dispatched compute kernels for the nn hot path.
 //
-// Three implementations sit behind every entry point: a portable blocked
-// scalar path (always built), an AVX2/FMA-gated vector path (built when
-// the compiler supports -mavx2, selected at runtime only when cpuid
-// reports AVX2+FMA), and an AVX-512 path (built when the compiler
-// supports -mavx512f, selected only when cpuid reports AVX-512F).
-// Dispatch is a single relaxed atomic load per call; `--no-simd` /
-// `--kernel-target` (tool flags) and the `simd` shell command force a
-// lower target at runtime — forcing a target the host cannot run clamps
-// down to the best supported one.
+// Two implementations sit behind every entry point: a portable blocked
+// scalar path (always built; the reference every test compares against)
+// and an AVX2 vector path (built when the compiler supports -mavx2,
+// selected at runtime only when cpuid reports AVX2+FMA). Dispatch is a
+// single relaxed atomic load per call; `--no-simd` (tool flags) and the
+// `simd off` shell command force the scalar path at runtime.
 //
 // Determinism contract: the floating-point result of every kernel is part
 // of its definition, not an implementation detail. Reductions use eight
@@ -17,19 +14,16 @@
 // — folded by the fixed tree in reduce8() with a sequential tail (the
 // layout conv1d's forward has used since PR 3). Elementwise kernels and
 // matmul's non-transposed form are per-element chains in a fixed order.
-// All targets implement exactly these orders with IEEE-754 single ops and
-// no FMA contraction (the vector TUs are compiled with -ffp-contract=off
-// and use mul+add, not vfmadd; vector divide/sqrt are correctly rounded
-// like their scalar counterparts). The AVX-512 TU keeps the 8-lane
-// reduction layout by feeding each 16-element load into the SAME eight
-// accumulator lanes as two sequential 8-wide adds, and runs 16-wide only
-// where elements are independent chains (elementwise, adam, matmul column
-// blocks). So results are BITWISE IDENTICAL run-to-run and across
-// dispatch targets — `--no-simd` cannot change a retrieved sequence. The
-// documented tolerance is relative to the pre-kernel naive sequential
-// loops: reassociating a length-k sum into 8 lanes perturbs it by at most
-// ~k·eps relative, which is why op-level tests compare against
-// double-precision references rather than the old scalar order.
+// Both paths implement exactly these orders with IEEE-754 single ops and
+// no FMA contraction (the vector TU is compiled with -ffp-contract=off
+// and uses mul+add, not vfmadd; vector divide/sqrt are correctly rounded
+// like their scalar counterparts). So results are BITWISE IDENTICAL
+// run-to-run and across dispatch targets — `--no-simd` cannot change a
+// retrieved sequence. The documented tolerance is relative to the
+// pre-kernel naive sequential loops: reassociating a length-k sum into 8
+// lanes perturbs it by at most ~k·eps relative, which is why op-level
+// tests compare against double-precision references rather than the old
+// scalar order.
 //
 // Threading: matmul/matmul_ta fan output tiles out over a registered
 // clo::util::ThreadPool (set_thread_pool / PoolGuard). The tile grid is a
@@ -54,37 +48,14 @@ namespace clo::nn::kernel {
 
 // --- Runtime dispatch ---------------------------------------------------
 
-/// Dispatch targets, in ascending preference order.
-enum class Target { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
-
-/// True when the TU for `t` was compiled into this binary (kScalar always).
-bool target_compiled(Target t);
-/// True when target_compiled(t) and the CPU can execute it.
-bool target_supported(Target t);
-/// The highest supported target — what dispatch uses by default.
-Target best_supported_target();
-/// Force dispatch to `t`, clamped down to the best supported target not
-/// above it (forcing kAvx512 on an AVX2-only host yields kAvx2). Returns
-/// the target actually active afterwards.
-Target set_target(Target t);
-/// The target calls currently dispatch to.
-Target current_target();
-/// "scalar" / "avx2" / "avx512".
-const char* target_name(Target t);
-/// target_name(current_target()).
-const char* active_target();
-/// Parse a --kernel-target value ("scalar", "avx2", "avx512", or "auto" =
-/// best supported). Returns false for unknown names.
-bool parse_target(const char* name, Target* out);
-
-/// True when any vector TU was compiled into this binary.
-bool simd_compiled();
-/// True when a vector target is supported on this host.
+/// True when the AVX2 path was compiled in and the CPU can execute it.
 bool simd_supported();
-/// True when dispatch currently goes to a vector target.
+/// True when dispatch currently goes to the AVX2 path.
 bool simd_enabled();
-/// on = best supported target, off = scalar (the legacy --no-simd toggle).
+/// on = AVX2 when supported, off = scalar (the --no-simd toggle).
 void set_simd_enabled(bool on);
+/// The path calls currently dispatch to: "avx2" or "scalar".
+const char* active_target();
 
 // --- Threading ----------------------------------------------------------
 

@@ -19,6 +19,7 @@
 #include "clo/techmap/tech_map.hpp"
 #include "clo/util/exporter.hpp"
 #include "clo/util/fault.hpp"
+#include "clo/util/numeric.hpp"
 #include "clo/util/obs.hpp"
 #include "clo/util/rng.hpp"
 
@@ -36,6 +37,17 @@ std::vector<std::string> tokenize(const std::string& line) {
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// A whole-token base-10 int argument; anything else ("4x", "abc") is a
+/// usage error rather than a silently truncated number.
+int int_arg(const std::string& text, const std::string& usage) {
+  int value = 0;
+  if (!util::parse_int(text, &value)) {
+    throw std::runtime_error("usage: " + usage + " (not an integer: '" +
+                             text + "')");
+  }
+  return value;
 }
 
 }  // namespace
@@ -81,18 +93,6 @@ Shell::~Shell() {
 void Shell::set_simd(bool on) { nn::kernel::set_simd_enabled(on); }
 
 bool Shell::simd() const { return nn::kernel::simd_enabled(); }
-
-bool Shell::set_kernel_target(const std::string& name) {
-  nn::kernel::Target t;
-  if (!nn::kernel::parse_target(name.c_str(), &t)) return false;
-  const nn::kernel::Target actual = nn::kernel::set_target(t);
-  if (actual != t && name != "auto") {
-    std::cerr << "note: kernel target " << name
-              << " not supported on this host; using "
-              << nn::kernel::target_name(actual) << "\n";
-  }
-  return true;
-}
 
 void Shell::set_trace_path(std::string path) {
   trace_path_ = std::move(path);
@@ -317,8 +317,9 @@ void Shell::register_commands() {
        "tune [dataset] [restarts] — run the CLO pipeline on the design",
        [](Shell& sh, const auto& args, std::ostream& out) {
          core::PipelineConfig config;
-         config.dataset_size = args.size() > 1 ? std::stoi(args[1]) : 80;
-         config.restarts = args.size() > 2 ? std::stoi(args[2]) : 2;
+         const std::string usage = "tune [dataset] [restarts]";
+         config.dataset_size = args.size() > 1 ? int_arg(args[1], usage) : 80;
+         config.restarts = args.size() > 2 ? int_arg(args[2], usage) : 2;
          config.diffusion_steps = 60;
          config.threads = sh.threads_;
          config.checkpoint_dir = sh.checkpoint_dir_;
@@ -421,37 +422,24 @@ void Shell::register_commands() {
       {"threads",
        "threads [n] — set/show tune's worker threads (0 = hardware)",
        [](Shell& sh, const auto& args, std::ostream& out) {
-         if (args.size() > 1) sh.threads_ = std::stoi(args[1]);
+         if (args.size() > 1) sh.threads_ = int_arg(args[1], "threads [n]");
          out << "threads = " << sh.threads_ << "\n";
          return true;
        }});
   commands_.push_back(
-      {"simd",
-       "simd [on|off|scalar|avx2|avx512|auto] — set/show the nn kernel "
-       "dispatch target",
+      {"simd", "simd [on|off] — set/show the nn kernel dispatch target",
        [](Shell& sh, const auto& args, std::ostream& out) {
          if (args.size() > 1) {
-           nn::kernel::Target t;
            if (args[1] == "on") {
              sh.set_simd(true);
            } else if (args[1] == "off") {
              sh.set_simd(false);
-           } else if (nn::kernel::parse_target(args[1].c_str(), &t)) {
-             const nn::kernel::Target actual = nn::kernel::set_target(t);
-             if (actual != t && args[1] != "auto") {
-               out << "note: " << args[1]
-                   << " not supported on this host; clamped to "
-                   << nn::kernel::target_name(actual) << "\n";
-             }
            } else {
-             throw std::runtime_error(
-                 "usage: simd [on|off|scalar|avx2|avx512|auto]");
+             throw std::runtime_error("usage: simd [on|off]");
            }
          }
          out << "simd = " << (sh.simd() ? "on" : "off") << " (target "
-             << nn::kernel::active_target() << ", best "
-             << nn::kernel::target_name(nn::kernel::best_supported_target())
-             << ")\n";
+             << nn::kernel::active_target() << ")\n";
          return true;
        }});
   commands_.push_back(
@@ -554,7 +542,10 @@ void Shell::register_commands() {
                  std::to_string(sh.serve_server_->port()));
            }
            serve::ServerOptions options;
-           options.port = args.size() >= 3 ? std::stoi(args[2]) : 0;
+           options.port =
+               args.size() >= 3
+                   ? int_arg(args[2], "serve start [port] [registry-dir]")
+                   : 0;
            if (args.size() >= 4) options.registry_dir = args[3];
            options.threads = sh.threads_;
            auto server = std::make_unique<serve::Server>(options);

@@ -55,13 +55,6 @@ class Shell {
   void set_simd(bool on);
   bool simd() const;
 
-  /// Force a named nn kernel dispatch target ("scalar", "avx2", "avx512",
-  /// or "auto" = best supported; `--kernel-target` flag). Requesting a
-  /// target the host cannot run clamps down to the best supported one.
-  /// Returns false when the name is unknown. All targets produce bitwise
-  /// identical results — this exists for benchmarking and bisection.
-  bool set_kernel_target(const std::string& name);
-
   /// Directory `tune` writes phase checkpoints into (empty = disabled).
   /// Also settable at runtime with the `checkpoint` command.
   void set_checkpoint_dir(std::string dir) { checkpoint_dir_ = std::move(dir); }

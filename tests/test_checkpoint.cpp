@@ -428,20 +428,16 @@ TEST(GoldenRestarts, ReplaysCorpusBitForBitOnEveryTarget) {
   const auto expected = golden_corpus();
   ASSERT_EQ(expected.size(), 4u * kGoldenRestarts)
       << "golden_restarts.csv missing or truncated";
-  const nn::kernel::Target initial = nn::kernel::current_target();
-  for (nn::kernel::Target t :
-       {nn::kernel::Target::kScalar, nn::kernel::Target::kAvx2,
-        nn::kernel::Target::kAvx512}) {
-    if (!nn::kernel::target_compiled(t) || !nn::kernel::target_supported(t)) {
-      continue;
-    }
-    nn::kernel::set_target(t);
+  const bool initial = nn::kernel::simd_enabled();
+  for (bool simd : {false, true}) {
+    if (simd && !nn::kernel::simd_supported()) continue;
+    nn::kernel::set_simd_enabled(simd);
+    const std::string target = nn::kernel::active_target();
     const auto actual = golden_restart_rows();
-    nn::kernel::set_target(initial);
+    nn::kernel::set_simd_enabled(initial);
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < actual.size(); ++i) {
-      EXPECT_EQ(actual[i], expected[i])
-          << "row " << i << " on " << nn::kernel::target_name(t);
+      EXPECT_EQ(actual[i], expected[i]) << "row " << i << " on " << target;
     }
   }
 }

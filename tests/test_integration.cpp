@@ -28,6 +28,15 @@ core::PipelineConfig tiny_config() {
   return cfg;
 }
 
+/// The weighted, normalized objective the pipeline's restarts minimize.
+double objective(const core::PipelineConfig& cfg, const core::Dataset& ds,
+                 const core::Qor& q) {
+  return cfg.optimize.weight_area * (q.area_um2 - ds.area_mean) /
+             ds.area_std +
+         cfg.optimize.weight_delay * (q.delay_ps - ds.delay_mean) /
+             ds.delay_std;
+}
+
 TEST(Pipeline, EndToEndProducesValidSequence) {
   core::QorEvaluator ev(circuits::make_benchmark("ctrl"));
   core::CloPipeline pipeline(tiny_config());
@@ -61,15 +70,11 @@ TEST(Pipeline, OptimizedBeatsDatasetMedian) {
   cfg.restarts = 3;
   core::CloPipeline pipeline(cfg);
   const auto result = pipeline.run(ev);
-  const auto& ds = pipeline.dataset();
   auto score = [&](const core::Qor& q) {
-    return cfg.optimize.weight_area * (q.area_um2 - ds.area_mean) /
-               ds.area_std +
-           cfg.optimize.weight_delay * (q.delay_ps - ds.delay_mean) /
-               ds.delay_std;
+    return objective(cfg, pipeline.dataset(), q);
   };
   std::vector<double> scores;
-  for (const auto& q : ds.qor) scores.push_back(score(q));
+  for (const auto& q : pipeline.dataset().qor) scores.push_back(score(q));
   std::sort(scores.begin(), scores.end());
   EXPECT_LE(score(result.best), scores[scores.size() / 2]);
 }
@@ -115,6 +120,35 @@ TEST(Pipeline, DeterministicGivenSeed) {
   EXPECT_EQ(opt::sequence_to_string(a.best_sequence),
             opt::sequence_to_string(b.best_sequence));
   EXPECT_DOUBLE_EQ(a.best.area_um2, b.best.area_um2);
+}
+
+// The reported `best` never scores worse than the unoptimized circuit on
+// the restarts' own objective. c17 at the shell's `tune` defaults is a
+// case where every restart's circuit is larger than the input, so the
+// pipeline must hand back the input with an empty sequence.
+TEST(Pipeline, BestNeverScoresWorseThanOriginal) {
+  core::PipelineConfig cfg;
+  cfg.dataset_size = 80;
+  cfg.restarts = 2;
+  cfg.diffusion_steps = 60;
+  cfg.threads = 2;  // the data-parallel surrogate mode `clo` defaults to
+  core::QorEvaluator ev(circuits::make_benchmark("c17"));
+  core::CloPipeline pipeline(cfg);
+  const auto result = pipeline.run(ev);
+  auto score = [&](const core::Qor& q) {
+    return objective(cfg, pipeline.dataset(), q);
+  };
+  EXPECT_LE(score(result.best), score(result.original));
+  if (result.best_sequence.empty()) {
+    EXPECT_EQ(result.best.area_um2, result.original.area_um2);
+    EXPECT_EQ(result.best.delay_ps, result.original.delay_ps);
+    EXPECT_EQ(result.best_discrepancy, 0.0);
+  }
+  // Every valid restart's circuit scores at least as high as the answer.
+  ASSERT_EQ(result.restart_qor.size(), 2u);
+  for (const auto& q : result.restart_qor) {
+    EXPECT_LE(score(result.best), score(q));
+  }
 }
 
 // The constructor rejects restart and dataset counts the pipeline cannot

@@ -43,15 +43,11 @@ class KernelTest : public ::testing::Test {
     return true;
   }
 
-  /// Every target this binary can actually run here (scalar always).
-  static std::vector<kernel::Target> SupportedTargets() {
-    std::vector<kernel::Target> targets = {kernel::Target::kScalar};
-    for (kernel::Target t :
-         {kernel::Target::kAvx2, kernel::Target::kAvx512}) {
-      if (kernel::target_compiled(t) && kernel::target_supported(t)) {
-        targets.push_back(t);
-      }
-    }
+  /// Every target this binary can actually run here, as set_simd_enabled
+  /// settings: scalar always, plus AVX2 when simd_supported().
+  static std::vector<bool> SupportedTargets() {
+    std::vector<bool> targets = {false};
+    if (kernel::simd_supported()) targets.push_back(true);
     return targets;
   }
 };
@@ -251,14 +247,14 @@ TEST_F(KernelTest, MaxValuePropagatesNaNFromAnyPosition) {
     for (std::size_t pos : {std::size_t{0}, n / 2, n - 1}) {
       auto a = random_buf(n, rng);
       a[pos] = nan;
-      for (kernel::Target t : SupportedTargets()) {
-        kernel::set_target(t);
+      for (bool simd : SupportedTargets()) {
+        kernel::set_simd_enabled(simd);
         const float got = kernel::max_value(a.data(), n);
         std::uint32_t got_bits;
         std::memcpy(&got_bits, &got, sizeof(got_bits));
         EXPECT_EQ(got_bits, canonical_bits)
             << "n=" << n << " pos=" << pos
-            << " target=" << kernel::target_name(t);
+            << " target=" << kernel::active_target();
       }
       kernel::set_simd_enabled(true);
     }
@@ -266,10 +262,10 @@ TEST_F(KernelTest, MaxValuePropagatesNaNFromAnyPosition) {
   // NaN-free inputs still return the plain maximum on every target.
   auto clean = random_buf(100, rng);
   clean[41] = 1e9f;
-  for (kernel::Target t : SupportedTargets()) {
-    kernel::set_target(t);
+  for (bool simd : SupportedTargets()) {
+    kernel::set_simd_enabled(simd);
     EXPECT_EQ(kernel::max_value(clean.data(), clean.size()), 1e9f)
-        << kernel::target_name(t);
+        << kernel::active_target();
   }
 }
 
@@ -404,11 +400,11 @@ TEST_F(KernelTest, DenoiserTrainingIsBitwiseIdenticalAcrossPoolsAndTargets) {
     for (auto& p : model.unet().parameters()) out.push_back(p.data());
     return out;
   };
-  kernel::set_target(kernel::Target::kScalar);
+  kernel::set_simd_enabled(false);
   const auto reference = train(nullptr);
   util::ThreadPool pool2(2), pool8(8);
-  for (kernel::Target t : SupportedTargets()) {
-    kernel::set_target(t);
+  for (bool simd : SupportedTargets()) {
+    kernel::set_simd_enabled(simd);
     for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
                                    &pool2, &pool8}) {
       const auto got = train(pool);
@@ -417,7 +413,7 @@ TEST_F(KernelTest, DenoiserTrainingIsBitwiseIdenticalAcrossPoolsAndTargets) {
         ASSERT_EQ(got[i].size(), reference[i].size());
         EXPECT_EQ(0, std::memcmp(got[i].data(), reference[i].data(),
                                  got[i].size() * sizeof(float)))
-            << "param " << i << " target " << kernel::target_name(t)
+            << "param " << i << " target " << kernel::active_target()
             << " workers " << (pool == nullptr ? 0 : pool->size());
       }
     }
@@ -432,29 +428,7 @@ TEST_F(KernelTest, DispatchStateRoundTrips) {
   kernel::set_simd_enabled(true);
   EXPECT_EQ(kernel::simd_enabled(), kernel::simd_supported());
   EXPECT_STREQ(kernel::active_target(),
-               kernel::target_name(kernel::best_supported_target()));
-
-  // Forcing each supported target sticks; unsupported requests clamp down.
-  for (kernel::Target t : SupportedTargets()) {
-    EXPECT_EQ(kernel::set_target(t), t);
-    EXPECT_EQ(kernel::current_target(), t);
-  }
-  const kernel::Target clamped = kernel::set_target(kernel::Target::kAvx512);
-  EXPECT_TRUE(kernel::target_supported(clamped));
-  EXPECT_LE(static_cast<int>(clamped),
-            static_cast<int>(kernel::Target::kAvx512));
-
-  // parse_target round-trips every name plus "auto"; rejects junk.
-  kernel::Target parsed;
-  ASSERT_TRUE(kernel::parse_target("scalar", &parsed));
-  EXPECT_EQ(parsed, kernel::Target::kScalar);
-  ASSERT_TRUE(kernel::parse_target("avx2", &parsed));
-  EXPECT_EQ(parsed, kernel::Target::kAvx2);
-  ASSERT_TRUE(kernel::parse_target("avx512", &parsed));
-  EXPECT_EQ(parsed, kernel::Target::kAvx512);
-  ASSERT_TRUE(kernel::parse_target("auto", &parsed));
-  EXPECT_EQ(parsed, kernel::best_supported_target());
-  EXPECT_FALSE(kernel::parse_target("sse9", &parsed));
+               kernel::simd_supported() ? "avx2" : "scalar");
 }
 
 // --- Tiled GEMM determinism ----------------------------------------------
@@ -538,15 +512,15 @@ TEST_F(KernelTest, TiledMatmulIsBitwiseIdenticalAcrossAllTargets) {
       const auto b = random_buf(static_cast<std::size_t>(s.k) * s.n, rng);
       const auto o0 = random_buf(static_cast<std::size_t>(s.m) * s.n, rng);
 
-      kernel::set_target(kernel::Target::kScalar);
+      kernel::set_simd_enabled(false);
       AlignedFloats reference = o0;
       {
         kernel::PoolGuard guard(nullptr);
         kernel::matmul(a.data(), b.data(), reference.data(), s.m, s.k, s.n,
                        tb);
       }
-      for (kernel::Target t : targets) {
-        kernel::set_target(t);
+      for (bool simd : targets) {
+        kernel::set_simd_enabled(simd);
         for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
                                     &pool}) {
           AlignedFloats out = o0;
@@ -554,7 +528,7 @@ TEST_F(KernelTest, TiledMatmulIsBitwiseIdenticalAcrossAllTargets) {
           kernel::matmul(a.data(), b.data(), out.data(), s.m, s.k, s.n, tb);
           EXPECT_TRUE(bitwise_equal(reference, out))
               << s.m << "x" << s.k << "x" << s.n << " tb=" << tb
-              << " target=" << kernel::target_name(t)
+              << " target=" << kernel::active_target()
               << " threaded=" << (p != nullptr);
         }
       }
@@ -579,8 +553,8 @@ TEST_F(KernelTest, KernelsTolerateUnalignedTensorInteriorSlices) {
   AlignedFloats aligned_b(b, b + static_cast<std::size_t>(k) * n);
 
   util::ThreadPool pool(4);
-  for (kernel::Target t : SupportedTargets()) {
-    kernel::set_target(t);
+  for (bool simd : SupportedTargets()) {
+    kernel::set_simd_enabled(simd);
     AlignedFloats out_aligned(static_cast<std::size_t>(m) * n, 0.0f);
     kernel::matmul(aligned_a.data(), aligned_b.data(), out_aligned.data(), m,
                    k, n, false);
@@ -590,12 +564,12 @@ TEST_F(KernelTest, KernelsTolerateUnalignedTensorInteriorSlices) {
       AlignedFloats out(static_cast<std::size_t>(m) * n, 0.0f);
       kernel::matmul(a, b, out.data(), m, k, n, false);
       EXPECT_TRUE(bitwise_equal(out_aligned, out))
-          << "target=" << kernel::target_name(t)
+          << "target=" << kernel::active_target()
           << " threaded=" << (p != nullptr);
     }
     EXPECT_EQ(kernel::dot(a, b, 100),
               kernel::dot(aligned_a.data(), aligned_b.data(), 100))
-        << kernel::target_name(t);
+        << kernel::active_target();
   }
   kernel::set_simd_enabled(true);
 }
@@ -624,11 +598,11 @@ TEST_F(KernelTest, MatmulTaMatchesLegacyLoopBitwiseAndDoubleReference) {
     }
   }
 
-  for (kernel::Target t : SupportedTargets()) {
-    kernel::set_target(t);
+  for (bool simd : SupportedTargets()) {
+    kernel::set_simd_enabled(simd);
     AlignedFloats out = o0;
     kernel::matmul_ta(a.data(), b.data(), out.data(), m, k, n);
-    EXPECT_TRUE(bitwise_equal(legacy, out)) << kernel::target_name(t);
+    EXPECT_TRUE(bitwise_equal(legacy, out)) << kernel::active_target();
   }
   kernel::set_simd_enabled(true);
 

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "clo/nn/kernel.hpp"
 #include "clo/shell/shell.hpp"
 #include "clo/util/obs.hpp"
 
@@ -114,6 +115,60 @@ TEST(Shell, TuneRejectsCountsItCannotRunBeforeTraining) {
     EXPECT_NE(ss.str().find("\"status\": \"failed\""), std::string::npos)
         << cmd;
   }
+}
+
+// Numeric arguments are whole base-10 ints; "4x" or "abc" is a usage
+// error, never a silently truncated number.
+TEST(Shell, TuneRejectsNonIntegerCounts) {
+  Shell sh;
+  run(sh, "gen c17");
+  for (const char* cmd : {"tune 4x 1x", "tune 4 1x", "tune abc", "tune 2.5"}) {
+    const std::string out = run(sh, cmd);
+    EXPECT_TRUE(sh.last_failed()) << cmd;
+    EXPECT_NE(out.find("usage: tune [dataset] [restarts]"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("original :"), std::string::npos) << out;
+  }
+}
+
+TEST(Shell, ThreadsRejectsNonInteger) {
+  Shell sh;
+  EXPECT_NE(run(sh, "threads 3").find("threads = 3"), std::string::npos);
+  for (const char* cmd : {"threads 3abc", "threads abc", "threads 2x"}) {
+    const std::string out = run(sh, cmd);
+    EXPECT_TRUE(sh.last_failed()) << cmd;
+    EXPECT_NE(out.find("usage: threads [n]"), std::string::npos) << out;
+    EXPECT_EQ(sh.threads(), 3) << cmd;
+  }
+}
+
+TEST(Shell, ServeStartRejectsNonIntegerPort) {
+  Shell sh;
+  for (const char* cmd : {"serve start 80x", "serve start port"}) {
+    const std::string out = run(sh, cmd);
+    EXPECT_TRUE(sh.last_failed()) << cmd;
+    EXPECT_NE(out.find("usage: serve start"), std::string::npos) << out;
+    EXPECT_NE(run(sh, "serve status").find("not running"), std::string::npos);
+  }
+}
+
+// `simd` switches between the scalar reference and the best path the host
+// supports; there is no way to name a target.
+TEST(Shell, SimdCommandSwitchesBetweenScalarAndTheBestPath) {
+  Shell sh;
+  const std::string best =
+      clo::nn::kernel::simd_supported() ? "avx2" : "scalar";
+  EXPECT_NE(run(sh, "simd off").find("(target scalar)"), std::string::npos);
+  EXPECT_FALSE(sh.simd());
+  EXPECT_NE(run(sh, "simd on").find("(target " + best + ")"),
+            std::string::npos);
+  EXPECT_EQ(sh.simd(), clo::nn::kernel::simd_supported());
+  for (const char* cmd : {"simd avx512", "simd avx2", "simd auto"}) {
+    const std::string out = run(sh, cmd);
+    EXPECT_TRUE(sh.last_failed()) << cmd;
+    EXPECT_NE(out.find("usage: simd [on|off]"), std::string::npos) << out;
+  }
+  EXPECT_STREQ(clo::nn::kernel::active_target(), best.c_str());
 }
 
 TEST(Shell, SeqCommand) {

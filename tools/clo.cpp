@@ -10,11 +10,7 @@
 //   --threads N   worker threads for `tune` (default 0 = hardware
 //                 concurrency; 1 runs fully serial)
 //   --no-simd     force the portable scalar nn kernels instead of the
-//                 runtime-dispatched SIMD ones (identical results, slower)
-//   --kernel-target T
-//                 force a specific nn kernel dispatch target
-//                 (scalar|avx2|avx512|auto); unsupported targets clamp
-//                 down to the best the host can run (identical results)
+//                 runtime-dispatched AVX2 ones (identical results, slower)
 //   --trace F     write a Chrome trace-event JSON (chrome://tracing,
 //                 Perfetto) of the session to F on exit
 //   --report F    write the machine-readable "clo.report.v1" JSON of the
@@ -42,7 +38,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -56,6 +51,7 @@
 #include "clo/shell/shell.hpp"
 #include "clo/util/cli.hpp"
 #include "clo/util/fault.hpp"
+#include "clo/util/numeric.hpp"
 #include "clo/util/obs.hpp"
 
 namespace {
@@ -63,6 +59,23 @@ namespace {
 std::atomic<bool> g_signal{false};
 
 void on_signal(int) { g_signal.store(true, std::memory_order_release); }
+
+// Reads the integer value of the flag at argv[*i] and advances *i past
+// it. A missing value or anything but a whole base-10 int ("abc", "2x")
+// is a usage error.
+bool int_flag_value(int argc, char** argv, int* i, int* out) {
+  const std::string flag = argv[*i];
+  if (*i + 1 >= argc) {
+    std::cerr << flag << " needs an integer value\n";
+    return false;
+  }
+  const std::string value = argv[++*i];
+  if (!clo::util::parse_int(value, out)) {
+    std::cerr << flag << " needs an integer value, got '" << value << "'\n";
+    return false;
+  }
+  return true;
+}
 
 // `clo serve`: run the optimization daemon until SIGINT/SIGTERM or a
 // client's shutdown request.
@@ -226,27 +239,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads") {
-      if (i + 1 >= argc) {
-        std::cerr << "--threads needs a value\n";
-        return 1;
-      }
-      shell.set_threads(std::atoi(argv[++i]));
+      int threads = 0;
+      if (!int_flag_value(argc, argv, &i, &threads)) return 1;
+      shell.set_threads(threads);
       continue;
     }
     if (arg == "--no-simd") {
       shell.set_simd(false);
-      continue;
-    }
-    if (arg == "--kernel-target") {
-      if (i + 1 >= argc) {
-        std::cerr << "--kernel-target needs scalar|avx2|avx512|auto\n";
-        return 1;
-      }
-      if (!shell.set_kernel_target(argv[++i])) {
-        std::cerr << "unknown kernel target '" << argv[i]
-                  << "' (want scalar|avx2|avx512|auto)\n";
-        return 1;
-      }
       continue;
     }
     if (arg == "--trace") {
@@ -278,19 +277,15 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg == "--metrics-interval-ms") {
-      if (i + 1 >= argc) {
-        std::cerr << "--metrics-interval-ms needs a value\n";
-        return 1;
-      }
-      shell.set_metrics_interval_ms(std::atoi(argv[++i]));
+      int ms = 0;
+      if (!int_flag_value(argc, argv, &i, &ms)) return 1;
+      shell.set_metrics_interval_ms(ms);
       continue;
     }
     if (arg == "--metrics-port") {
-      if (i + 1 >= argc) {
-        std::cerr << "--metrics-port needs a port\n";
-        return 1;
-      }
-      shell.set_metrics_port(std::atoi(argv[++i]));
+      int port = 0;
+      if (!int_flag_value(argc, argv, &i, &port)) return 1;
+      shell.set_metrics_port(port);
       continue;
     }
     if (arg == "--profile-out") {
@@ -330,6 +325,10 @@ int main(int argc, char** argv) {
         return 1;
       }
       continue;
+    }
+    if (arg.rfind("--", 0) == 0) {
+      std::cerr << "unknown option " << arg << "\n";
+      return 1;
     }
     args.push_back(arg);
   }
