@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   const double min_ms = args.get_double("min-ms", 50.0);
   const bool large = args.has("large");
   const bool full = args.has("full");
-  const int threads = std::atoi(args.get("threads", "1").c_str());
+  const int threads = args.get_int("threads", 1);
   if (args.has("no-simd")) kernel::set_simd_enabled(false);
 
   // The targets to time, as simd_enabled settings: scalar (the parity

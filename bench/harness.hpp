@@ -4,7 +4,6 @@
 // paper's accounting (best-of-restarts QoR, algorithm-only runtime).
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,9 +74,8 @@ inline ObsOptions obs_from_args(const CliArgs& args) {
   opts.report_path = args.get("report", "");
   opts.metrics = args.has("metrics");
   opts.metrics_out = args.get("metrics-out", "");
-  opts.metrics_interval_ms =
-      std::atoi(args.get("metrics-interval-ms", "1000").c_str());
-  opts.metrics_port = std::atoi(args.get("metrics-port", "-1").c_str());
+  opts.metrics_interval_ms = args.get_int("metrics-interval-ms", 1000);
+  opts.metrics_port = args.get_int("metrics-port", -1);
   opts.profile_path = args.get("profile-out", "");
   if (!opts.trace_path.empty() || !opts.report_path.empty() || opts.metrics ||
       !opts.metrics_out.empty() || opts.metrics_port >= 0 ||

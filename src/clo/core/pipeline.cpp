@@ -39,8 +39,7 @@ bool dataset_fits(const DatasetCheckpoint& c, const PipelineConfig& cfg) {
 }  // namespace
 
 std::uint64_t pipeline_config_hash(const PipelineConfig& config,
-                                   const aig::Aig& circuit,
-                                   bool data_parallel) {
+                                   const aig::Aig& circuit) {
   ConfigHasher h;
   h.add(circuit.name())
       .add(static_cast<std::uint64_t>(circuit.num_pis()))
@@ -58,8 +57,7 @@ std::uint64_t pipeline_config_hash(const PipelineConfig& config,
       .add(static_cast<std::uint64_t>(config.surrogate_train.epochs))
       .add(static_cast<std::uint64_t>(config.surrogate_train.batch_size))
       .add(static_cast<double>(config.surrogate_train.lr))
-      .add(config.surrogate_train.holdout_fraction)
-      .add(static_cast<std::uint64_t>(data_parallel ? 1 : 0));
+      .add(config.surrogate_train.holdout_fraction);
   return h.hash();
 }
 
@@ -85,11 +83,6 @@ util::ThreadPool* CloPipeline::acquire_pool(
   return owned->get();
 }
 
-bool CloPipeline::data_parallel() const {
-  if (external_pool_ != nullptr) return external_pool_->size() >= 2;
-  return util::resolve_threads(config_.threads) >= 2;
-}
-
 PipelineResult CloPipeline::run(QorEvaluator& evaluator,
                                 const util::CancelToken* cancel) {
   pretrain(evaluator, cancel);
@@ -106,15 +99,12 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
   // consumer below treats a null pool as "run serially".
   std::unique_ptr<util::ThreadPool> owned_pool;
   util::ThreadPool* pool = acquire_pool(&owned_pool);
-  // Let the nn kernels tile large matmuls over the same pool for the
-  // duration of this phase (bytes are pool-invariant by contract).
-  nn::kernel::PoolGuard kernel_pool(pool);
 
   std::unique_ptr<CheckpointManager> ckpt;
   if (!config_.checkpoint_dir.empty()) {
     ckpt = std::make_unique<CheckpointManager>(
         config_.checkpoint_dir,
-        pipeline_config_hash(config_, evaluator.circuit(), data_parallel()));
+        pipeline_config_hash(config_, evaluator.circuit()));
   }
   DatasetCheckpoint dck;
   SurrogateCheckpoint sck;
@@ -222,17 +212,9 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
       clo::set_log_phase("surrogate_train");
       Stopwatch w;
       ScopedTimer st(w);
-      // Replicas only borrow the master's architecture; their init weights
-      // are overwritten before use, so a fixed factory seed is fine.
-      SurrogateFactory factory = [this, &evaluator, scfg] {
-        clo::Rng factory_rng(config_.seed ^ 0x5caff01dULL);
-        return models::make_surrogate(config_.surrogate, evaluator.circuit(),
-                                      scfg, factory_rng);
-      };
       result.surrogate_report =
           train_surrogate(*surrogate_, *embedding_, dataset_,
-                          config_.surrogate_train, rng, pool, factory,
-                          cancel);
+                          config_.surrogate_train, rng, cancel);
       result.surrogate_train_seconds = w.seconds();
       CLO_OBS_GAUGE("pipeline.surrogate_train_seconds",
                     result.surrogate_train_seconds);
@@ -298,6 +280,11 @@ void CloPipeline::pretrain(QorEvaluator& evaluator,
       clo::set_log_phase("diffusion_train");
       Stopwatch w;
       ScopedTimer st(w);
+      // Only the U-Net's GEMMs are big enough to gain from tiling over
+      // the pool (bytes are pool-invariant by contract). The surrogate's
+      // batch-32 LSTM steps sit right at the fan-out threshold and run
+      // faster serially, so that phase gets no kernel pool.
+      nn::kernel::PoolGuard kernel_pool(pool);
       std::vector<std::vector<float>> data;
       data.reserve(dataset_.size());
       for (const auto& seq : dataset_.sequences) {

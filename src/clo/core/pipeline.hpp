@@ -38,12 +38,9 @@ struct PipelineConfig {
   TrainConfig surrogate_train;
   OptimizeParams optimize;
   std::uint64_t seed = 1;
-  /// Worker threads for dataset labeling, surrogate training, restarts,
-  /// and validation. 1 = serial, 0 = hardware concurrency. Dataset
-  /// labeling, latent optimization, and validation QoR are bit-identical
-  /// at any value; only surrogate training's float rounding differs
-  /// between the serial batched path (threads == 1) and the data-parallel
-  /// per-sample path (threads >= 2, itself count-independent).
+  /// Worker threads for dataset labeling, diffusion training, restarts,
+  /// and validation (surrogate training is serial). 1 = serial, 0 =
+  /// hardware concurrency. Every result is bit-identical at any value.
   int threads = 1;
   /// When non-empty, persist a phase checkpoint (dataset, surrogate,
   /// diffusion) into this directory after each pretraining phase.
@@ -169,10 +166,6 @@ class CloPipeline {
   /// stored in `owned`. Null means "run serially".
   util::ThreadPool* acquire_pool(
       std::unique_ptr<util::ThreadPool>* owned) const;
-  /// Whether surrogate training uses the data-parallel per-sample path
-  /// (part of the checkpoint identity — its float rounding differs from
-  /// the serial batched path).
-  bool data_parallel() const;
 
   PipelineConfig config_;
   std::unique_ptr<models::TransformEmbedding> embedding_;
@@ -190,13 +183,12 @@ class CloPipeline {
 
 /// The checkpoint/registry identity of one (circuit, config) pair: hashes
 /// every knob (plus the circuit fingerprint) that changes the bits a
-/// pretraining phase produces. `data_parallel` selects the surrogate
-/// training mode (serial batched vs data-parallel per-sample), whose float
-/// rounding differs; the thread *count* is deliberately excluded. Shared by
+/// pretraining phase produces. The thread count is not one of them: every
+/// phase is bit-identical for any worker count, so a checkpoint or registry
+/// entry written at one `--threads` resumes at any other. Shared by
 /// checkpoint keying and the serve model registry.
 std::uint64_t pipeline_config_hash(const PipelineConfig& config,
-                                   const aig::Aig& circuit,
-                                   bool data_parallel);
+                                   const aig::Aig& circuit);
 
 /// Serialize one pipeline run into the stable "clo.report.v1" JSON schema:
 /// QoR before/after, per-phase seconds, evaluator cache statistics,

@@ -100,6 +100,9 @@ void backward(const Tensor& root) {
     TensorImpl* node = *it;
     if (node->backward_fn && node->grad.size() == node->data.size()) {
       node->backward_fn(*node);
+      // Every consumer has already pushed into this interior grad, so it
+      // is dead once pushed on: free it while the backward walks on.
+      FloatBuf().swap(node->grad);
     }
   }
 }

@@ -83,8 +83,10 @@ class Tensor {
 };
 
 /// Reverse-mode accumulation from a scalar `root` (numel() == 1).
-/// Grad buffers of reachable requires_grad tensors are accumulated into
-/// (callers zero them between steps via the optimizer).
+/// Grad buffers of reachable leaves (tensors without a backward closure:
+/// parameters, optimizer inputs) are accumulated into; callers zero them
+/// between steps via the optimizer. Interior grads, the root's included,
+/// do not survive the call: each is freed right after its closure has run.
 void backward(const Tensor& root);
 
 /// Detached copy: same data, no graph history.

@@ -1,9 +1,9 @@
 #pragma once
 // The persistent model registry behind `clo serve`: one entry per
 // (circuit, config) pair — keyed by the circuit name plus the
-// pipeline_config_hash — holding the trained surrogate + diffusion models,
-// the labeled dataset, and the sharded-cache QorEvaluator whose memo table
-// answers warm QoR queries in microseconds.
+// pipeline_config_hash, never the pool size — holding the trained
+// surrogate + diffusion models, the labeled dataset, and the sharded-cache
+// QorEvaluator whose memo table answers warm QoR queries in microseconds.
 //
 // Semantics:
 //   * get-or-train: the first request for a key pays pretraining (or a
@@ -108,7 +108,8 @@ class ModelRegistry {
       const util::CancelToken* cancel = nullptr);
 
   /// Registry key for one (circuit, config) pair:
-  /// "<circuit>-<16-hex config hash>".
+  /// "<circuit>-<16-hex config hash>". Independent of `Options::pool`, so
+  /// a directory warmed by a daemon at one `--threads` serves any other.
   std::string key_for(const aig::Aig& circuit,
                       const core::PipelineConfig& config) const;
 

@@ -1,5 +1,7 @@
 #include "clo/util/cli.hpp"
 
+#include <stdexcept>
+
 #include "clo/util/numeric.hpp"
 
 namespace clo {
@@ -40,20 +42,25 @@ std::string CliArgs::get(const std::string& key,
 
 int CliArgs::get_int(const std::string& key, int fallback) const {
   // Locale-independent (atoi/atof honor the global C locale — see
-  // util/numeric.hpp); malformed values fall back instead of silently
-  // parsing a prefix.
+  // util/numeric.hpp) and whole-token: "12x" is an error, not 12.
   auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
-  int value = fallback;
-  util::parse_int(it->second, &value);
+  int value = 0;
+  if (!util::parse_int(it->second, &value)) {
+    throw std::invalid_argument("--" + key + " needs an integer value, got '" +
+                                it->second + "'");
+  }
   return value;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
-  double value = fallback;
-  util::parse_double(it->second, &value);
+  double value = 0.0;
+  if (!util::parse_double(it->second, &value)) {
+    throw std::invalid_argument("--" + key + " needs a number, got '" +
+                                it->second + "'");
+  }
   return value;
 }
 

@@ -14,6 +14,9 @@ class CliArgs {
 
   bool has(const std::string& flag) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// `fallback` when the flag is absent or has no value; throws
+  /// std::invalid_argument naming the flag when the value is not a whole
+  /// base-10 int (resp. a number), e.g. "12x" or "abc".
   int get_int(const std::string& key, int fallback) const;
   double get_double(const std::string& key, double fallback) const;
 

@@ -574,11 +574,15 @@ TEST_F(CheckpointTest, ResumeIsBitIdenticalToUninterrupted) {
         << phase;
   }
 
-  // ...and resuming from all three phases reproduces it exactly.
+  // ...and resuming from all three phases reproduces it exactly, also on
+  // a different worker count: the thread count is not part of the
+  // checkpoint identity, and no phase's bits depend on it.
   cfg.resume = true;
+  cfg.threads = 4;
   const auto resumed = run_pipeline(cfg);
   EXPECT_EQ(resumed.resumed_phases, 3);
   expect_same_outcome(resumed, baseline);
+  EXPECT_EQ(resumed.best_discrepancy, baseline.best_discrepancy);
 }
 
 TEST_F(CheckpointTest, KilledMidDiffusionResumesBitIdentical) {
@@ -643,8 +647,7 @@ void expect_malformed_dataset_recomputes(
 
   core::CheckpointManager mgr(
       cfg.checkpoint_dir,
-      core::pipeline_config_hash(cfg, circuits::make_benchmark("c17"),
-                                 /*data_parallel=*/false));
+      core::pipeline_config_hash(cfg, circuits::make_benchmark("c17")));
   core::DatasetCheckpoint c;
   ASSERT_TRUE(mgr.load_dataset(&c));
   corrupt(c);

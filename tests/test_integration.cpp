@@ -131,7 +131,7 @@ TEST(Pipeline, BestNeverScoresWorseThanOriginal) {
   cfg.dataset_size = 80;
   cfg.restarts = 2;
   cfg.diffusion_steps = 60;
-  cfg.threads = 2;  // the data-parallel surrogate mode `clo` defaults to
+  cfg.threads = 2;
   core::QorEvaluator ev(circuits::make_benchmark("c17"));
   core::CloPipeline pipeline(cfg);
   const auto result = pipeline.run(ev);

@@ -231,6 +231,38 @@ TEST(Autograd, DiamondGraphAccumulates) {
   EXPECT_NEAR(x.grad()[2], 2 * 0.5f + 1, 1e-5);
 }
 
+TEST(Autograd, BackwardKeepsLeafGradsAndFreesInteriorOnes) {
+  // y = sum(h * h) with h = x W: dx = 2 h W^T and dW = 2 x^T h.
+  Tensor x = Tensor::from_data({2, 3}, {1, -2, 0.5f, 3, 0.25f, -1}, true);
+  Tensor w = Tensor::from_data({3, 2}, {0.5f, -1, 2, 0.75f, -0.5f, 1}, true);
+  Tensor h = matmul(x, w);
+  Tensor y = sum_all(mul(h, h));
+  backward(y);
+  auto xv = [&](int i, int k) { return double{x.data()[i * 3 + k]}; };
+  auto wv = [&](int k, int j) { return double{w.data()[k * 2 + j]}; };
+  auto hv = [&](int i, int j) {
+    double acc = 0.0;
+    for (int k = 0; k < 3; ++k) acc += xv(i, k) * wv(k, j);
+    return acc;
+  };
+  for (int i = 0; i < 2; ++i) {
+    for (int k = 0; k < 3; ++k) {
+      const double dx = 2.0 * (hv(i, 0) * wv(k, 0) + hv(i, 1) * wv(k, 1));
+      EXPECT_NEAR(x.grad()[i * 3 + k], dx, 1e-5) << "dx " << i << "," << k;
+    }
+  }
+  for (int k = 0; k < 3; ++k) {
+    for (int j = 0; j < 2; ++j) {
+      const double dw = 2.0 * (xv(0, k) * hv(0, j) + xv(1, k) * hv(1, j));
+      EXPECT_NEAR(w.grad()[k * 2 + j], dw, 1e-5) << "dW " << k << "," << j;
+    }
+  }
+  // Interior nodes, the root included, hold no gradient after the call
+  // (read the raw buffer: Tensor::grad() would allocate a zeroed one).
+  EXPECT_TRUE(h.impl()->grad.empty());
+  EXPECT_TRUE(y.impl()->grad.empty());
+}
+
 TEST(Autograd, DetachStopsGradient) {
   Tensor x = Tensor::from_data({2}, {3.0f, 4.0f}, true);
   Tensor y = sum_all(mul(detach(x), x));

@@ -1,7 +1,8 @@
 // Serving-path acceptance tests: the clo.serve.v1 protocol (parsing and
 // hostile-input rejection), the model registry (single-flight get-or-train
-// under a thundering herd, persistence across registry instances, corrupt
-// entries skipped not fatal), and the daemon end to end (warm answers
+// under a thundering herd, persistence across registry instances and
+// thread counts, corrupt entries skipped not fatal), and the daemon end
+// to end (warm answers
 // byte-identical to a cold pipeline run, warm QoR queries that never touch
 // synthesis, silent clients that cannot stall a session worker, clients
 // that disconnect mid-response without killing the daemon, and bounded
@@ -155,23 +156,32 @@ TEST(ServeRegistry, UnknownCircuitThrowsAndReleasesInflight) {
 TEST(ServeRegistry, PersistsAcrossInstances) {
   const std::string dir = temp_dir("serve_registry_persist");
   opt::Sequence first_best;
+  double first_discrepancy = 0.0;
+  std::string first_key;
   {
+    // Warmed by a serial (1-thread) daemon...
     serve::ModelRegistry registry({dir, /*pool=*/nullptr});
     auto entry = registry.get_or_train("ctrl", tiny_config());
     EXPECT_EQ(entry->resumed_phases, 0);  // cold: nothing on disk yet
     entry->result = entry->pipeline.optimize(entry->evaluator);
     entry->has_result = true;
     first_best = entry->result.best_sequence;
+    first_discrepancy = entry->result.best_discrepancy;
+    first_key = entry->key;
   }
   {
-    // A fresh registry (daemon restart) must load all three phases from
-    // the CLOCKPT1 files and optimize to the identical sequence.
-    serve::ModelRegistry registry({dir, /*pool=*/nullptr});
+    // ...a fresh registry (daemon restart) on a 4-worker pool must find
+    // the same key, load all three phases from the CLOCKPT1 files, and
+    // optimize to the identical answer.
+    util::ThreadPool pool(4);
+    serve::ModelRegistry registry({dir, &pool});
     auto entry = registry.get_or_train("ctrl", tiny_config());
+    EXPECT_EQ(entry->key, first_key);
     EXPECT_EQ(entry->resumed_phases, 3);
     const auto result = entry->pipeline.optimize(entry->evaluator);
     EXPECT_EQ(opt::sequence_to_string(result.best_sequence),
               opt::sequence_to_string(first_best));
+    EXPECT_EQ(result.best_discrepancy, first_discrepancy);
   }
 }
 
@@ -207,9 +217,8 @@ class ServeE2E : public ::testing::Test {
     options.port = 0;  // ephemeral
     options.sessions = 2;
     options.max_queue = 4;
-    // Two pool workers on both the serve and the cold side: surrogate
-    // training's float rounding differs between serial and data-parallel
-    // modes, and byte-parity requires matching modes.
+    // Two pool workers here, one on the cold side: the answer's bytes
+    // must not depend on the thread count.
     options.threads = 2;
     options.idle_timeout_ms = 2000;
     server = std::make_unique<serve::Server>(options);
@@ -258,7 +267,7 @@ TEST_F(ServeE2E, WarmTuneIsByteIdenticalToColdPipelineRun) {
   // the serve answer must be byte-identical to what the CLI would print.
   auto req = serve::parse_request(tune_line);
   auto config = serve::pipeline_config(req);
-  config.threads = 2;  // match the server pool's data-parallel mode
+  config.threads = 1;  // serial, against the 2-worker server
   core::QorEvaluator evaluator(circuits::make_benchmark("ctrl"));
   core::CloPipeline pipeline(config);
   const auto reference = pipeline.run(evaluator);
@@ -470,7 +479,7 @@ TEST(ServeCancel, CancelMidTrainLeavesNoPartialEntryAndRetrainMatchesCold) {
   serve::ServerOptions options;
   options.port = 0;
   options.sessions = 2;
-  options.threads = 2;  // match the cold reference's data-parallel mode
+  options.threads = 2;
   serve::Server server(options);
   ASSERT_TRUE(server.start());
   const std::string tune_line =
@@ -538,7 +547,7 @@ TEST(ServeCancel, CancelMidTrainLeavesNoPartialEntryAndRetrainMatchesCold) {
 
   auto req = serve::parse_request(tune_line);
   auto config = serve::pipeline_config(req);
-  config.threads = 2;
+  config.threads = 1;  // serial, against the 2-worker server
   core::QorEvaluator evaluator(circuits::make_benchmark("ctrl"));
   core::CloPipeline pipeline(config);
   const auto reference = pipeline.run(evaluator);

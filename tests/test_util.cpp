@@ -181,6 +181,28 @@ TEST(Cli, ParsesForms) {
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "pos");
   EXPECT_EQ(args.get_int("missing", 9), 9);
+
+  // A malformed value is an error naming the flag, never the fallback.
+  const char* bad[] = {"prog", "--port", "12x", "--threads=abc"};
+  CliArgs garbage(4, const_cast<char**>(bad));
+  for (const char* flag : {"port", "threads"}) {
+    try {
+      garbage.get_int(flag, 7);
+      ADD_FAILURE() << "--" << flag << " parsed garbage";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(garbage.get_double("port", 0.0), std::invalid_argument);
+  const char* more[] = {"prog", "--omega", "4.5.1", "--empty="};
+  CliArgs numbers(4, const_cast<char**>(more));
+  EXPECT_THROW(numbers.get_int("omega", 0), std::invalid_argument);
+  EXPECT_THROW(numbers.get_double("omega", 0.0), std::invalid_argument);
+  // A flag given without a value still reads as absent.
+  EXPECT_EQ(numbers.get_int("empty", 3), 3);
+  EXPECT_DOUBLE_EQ(numbers.get_double("empty", 1.5), 1.5);
 }
 
 TEST(Stopwatch, AccumulatesAndResets) {

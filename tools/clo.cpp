@@ -41,6 +41,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,16 +96,21 @@ int run_serve(int argc, char** argv) {
   clo::util::fault::arm_from_env();
   clo::CliArgs args(argc, argv);
   clo::serve::ServerOptions options;
-  options.port = args.get_int("serve-port", 0);
+  try {
+    options.port = args.get_int("serve-port", 0);
+    options.max_queue = args.get_int("max-queue", 32);
+    options.sessions = args.get_int("sessions", 2);
+    options.threads = args.get_int("threads", 0);
+    options.idle_timeout_ms = args.get_int("idle-timeout-ms", 5000);
+    options.registry_max_entries =
+        static_cast<std::size_t>(args.get_int("registry-max-entries", 0));
+    options.registry_max_mb =
+        static_cast<std::size_t>(args.get_int("registry-max-mb", 0));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "clo serve: " << e.what() << "\n";
+    return 1;
+  }
   options.registry_dir = args.get("registry-dir", "");
-  options.max_queue = args.get_int("max-queue", 32);
-  options.sessions = args.get_int("sessions", 2);
-  options.threads = args.get_int("threads", 0);
-  options.idle_timeout_ms = args.get_int("idle-timeout-ms", 5000);
-  options.registry_max_entries =
-      static_cast<std::size_t>(args.get_int("registry-max-entries", 0));
-  options.registry_max_mb =
-      static_cast<std::size_t>(args.get_int("registry-max-mb", 0));
   clo::serve::Server server(options);
   if (!server.start()) {
     std::cerr << "clo serve: cannot bind 127.0.0.1:" << options.port << "\n";
@@ -146,36 +152,14 @@ int run_serve(int argc, char** argv) {
 // Exit status: 0 iff the daemon answered with "status": "ok".
 int run_query(int argc, char** argv) {
   clo::CliArgs args(argc, argv);
-  const int port = args.get_int("port", 0);
-  if (port <= 0) {
-    std::cerr << "clo query: --port is required\n";
-    return 1;
-  }
-  const std::string raw_json = args.get("json", "");
-  if (!raw_json.empty()) {
-    // Raw mode stays byte-verbatim (and retry-free): it exists so tests
-    // and CI can send arbitrary — including malformed — lines.
-    std::string response;
-    if (!clo::serve::query_once(port, raw_json, &response,
-                                args.get_int("timeout-ms", 600000))) {
-      std::cerr << "clo query: no response from 127.0.0.1:" << port << "\n";
-      return 1;
-    }
-    std::cout << response << "\n";
-    try {
-      const clo::obs::Json doc = clo::obs::Json::parse(response);
-      const clo::obs::Json* status = doc.find("status");
-      return status != nullptr && status->is_string() &&
-                     status->as_string() == "ok"
-                 ? 0
-                 : 1;
-    } catch (const std::exception&) {
-      return 1;
-    }
-  }
-  clo::obs::Json req;
-  {
-    req = clo::obs::Json::object();
+  int port = 0;
+  int timeout_ms = 0;
+  clo::serve::RetryPolicy policy;
+  clo::obs::Json req = clo::obs::Json::object();
+  try {
+    port = args.get_int("port", 0);
+    timeout_ms = args.get_int("timeout-ms", 600000);
+    policy.retries = args.get_int("retries", 0);
     req["op"] = args.get("op", "status");
     const std::string circuit = args.get("circuit", "");
     if (!circuit.empty()) req["circuit"] = circuit;
@@ -192,13 +176,38 @@ int run_query(int argc, char** argv) {
       req["deadline_ms"] = args.get_int("deadline-ms", 0);
     }
     if (args.has("report")) req["report"] = true;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "clo query: " << e.what() << "\n";
+    return 1;
   }
-  clo::serve::RetryPolicy policy;
-  policy.retries = args.get_int("retries", 0);
+  if (port <= 0) {
+    std::cerr << "clo query: --port is required\n";
+    return 1;
+  }
+  const std::string raw_json = args.get("json", "");
+  if (!raw_json.empty()) {
+    // Raw mode stays byte-verbatim (and retry-free): it exists so tests
+    // and CI can send arbitrary — including malformed — lines.
+    std::string response;
+    if (!clo::serve::query_once(port, raw_json, &response, timeout_ms)) {
+      std::cerr << "clo query: no response from 127.0.0.1:" << port << "\n";
+      return 1;
+    }
+    std::cout << response << "\n";
+    try {
+      const clo::obs::Json doc = clo::obs::Json::parse(response);
+      const clo::obs::Json* status = doc.find("status");
+      return status != nullptr && status->is_string() &&
+                     status->as_string() == "ok"
+                 ? 0
+                 : 1;
+    } catch (const std::exception&) {
+      return 1;
+    }
+  }
   clo::obs::Json response;
   int attempts = 0;
-  if (!clo::serve::query_with_retry(port, req, &response, policy,
-                                    args.get_int("timeout-ms", 600000),
+  if (!clo::serve::query_with_retry(port, req, &response, policy, timeout_ms,
                                     &attempts)) {
     std::cerr << "clo query: no response from 127.0.0.1:" << port << " ("
               << attempts << " attempt(s))\n";
