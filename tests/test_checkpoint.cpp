@@ -23,6 +23,7 @@
 #include "clo/core/checkpoint.hpp"
 #include "clo/core/optimizer.hpp"
 #include "clo/core/pipeline.hpp"
+#include "clo/core/trainer.hpp"
 #include "clo/models/diffusion.hpp"
 #include "clo/models/embedding.hpp"
 #include "clo/models/surrogate.hpp"
@@ -317,9 +318,9 @@ struct OptimizerFixture {
     return c;
   }
 
-  explicit OptimizerFixture(clo::Rng& rng)
+  explicit OptimizerFixture(clo::Rng& rng, const std::string& kind = "cnn")
       : embedding(8, rng),
-        surrogate(models::make_surrogate("cnn", g, scfg(), rng)),
+        surrogate(models::make_surrogate(kind, g, scfg(), rng)),
         diffusion(dcfg(), rng) {}
 
   core::ContinuousOptimizer make(bool use_diffusion = true) {
@@ -336,7 +337,10 @@ struct OptimizerFixture {
 // order): the retrieved sequence, an FNV-1a hash of the final latent's
 // bytes, and the IEEE-754 bits of the discrepancy and the predicted
 // objective. It covers Eq. 13 and the Eq. 14 ablation, serial and on an
-// 8-worker pool, and is replayed on every dispatch target this host runs.
+// 8-worker pool, for the CNN surrogate and for the LSTM-based MTL and
+// LOSTIN surrogates (whose rows carry the kind as a mode prefix, e.g.
+// "mtl:diffusion"), and is replayed on every dispatch target this host
+// runs.
 //
 // The corpus lives in tests/data/golden_restarts.csv. To regenerate it
 // (only when a change to the optimizer's numbers is intended), run the test
@@ -344,6 +348,7 @@ struct OptimizerFixture {
 // that file instead of being compared.
 
 constexpr int kGoldenRestarts = 10;
+constexpr const char* kGoldenSurrogates[] = {"cnn", "mtl", "lostin"};
 
 std::string hex_bits(double v) {
   char buf[32];
@@ -352,27 +357,39 @@ std::string hex_bits(double v) {
   return buf;
 }
 
-std::string latent_hash(const std::vector<float>& latent) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (float v : latent) {
-    unsigned char bytes[sizeof v];
-    std::memcpy(bytes, &v, sizeof v);
+/// FNV-1a over the bytes of a float range, continuing from `h`.
+std::uint64_t fnv_floats(const float* v, std::size_t n,
+                         std::uint64_t h = 0xcbf29ce484222325ULL) {
+  for (std::size_t i = 0; i < n; ++i) {
+    unsigned char bytes[sizeof(float)];
+    std::memcpy(bytes, v + i, sizeof(float));
     for (unsigned char b : bytes) {
       h ^= b;
       h *= 0x100000001b3ULL;
     }
   }
+  return h;
+}
+
+std::string hex64(std::uint64_t h) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(h));
   return buf;
 }
 
+std::string latent_hash(const std::vector<float>& latent) {
+  return hex64(fnv_floats(latent.data(), latent.size()));
+}
+
 /// One corpus row: mode,pool,restart,sequence,latent hash,discrepancy
-/// bits,predicted-objective bits.
+/// bits,predicted-objective bits. The mode names the surrogate kind unless
+/// it is the CNN the corpus started with.
 std::string golden_row(bool use_diffusion, bool pooled, std::size_t restart,
-                       const core::OptimizeResult& res) {
-  return std::string(use_diffusion ? "diffusion" : "ablation") + ',' +
+                       const core::OptimizeResult& res,
+                       const std::string& kind = "cnn") {
+  return (kind == "cnn" ? std::string() : kind + ':') +
+         (use_diffusion ? "diffusion" : "ablation") + ',' +
          (pooled ? "pool8" : "serial") + ',' + std::to_string(restart) + ',' +
          opt::sequence_to_string(res.sequence) + ',' +
          latent_hash(res.latent) + ',' + hex_bits(res.discrepancy) + ',' +
@@ -383,20 +400,22 @@ std::string golden_row(bool use_diffusion, bool pooled, std::size_t restart,
 std::vector<std::string> golden_restart_rows() {
   std::vector<std::string> rows;
   util::ThreadPool pool8(8);
-  for (const bool use_diffusion : {true, false}) {
-    for (util::ThreadPool* pool :
-         {static_cast<util::ThreadPool*>(nullptr), &pool8}) {
-      clo::Rng setup(5);
-      OptimizerFixture fx(setup);
-      auto opt = fx.make(use_diffusion);
-      clo::Rng rng(23);
-      std::vector<core::ContinuousOptimizer::RestartFailure> failures;
-      const auto results =
-          opt.run_restarts(rng, kGoldenRestarts, pool, &failures);
-      EXPECT_TRUE(failures.empty());
-      for (std::size_t r = 0; r < results.size(); ++r) {
-        rows.push_back(golden_row(use_diffusion, pool != nullptr, r,
-                                  results[r]));
+  for (const std::string kind : kGoldenSurrogates) {
+    for (const bool use_diffusion : {true, false}) {
+      for (util::ThreadPool* pool :
+           {static_cast<util::ThreadPool*>(nullptr), &pool8}) {
+        clo::Rng setup(5);
+        OptimizerFixture fx(setup, kind);
+        auto opt = fx.make(use_diffusion);
+        clo::Rng rng(23);
+        std::vector<core::ContinuousOptimizer::RestartFailure> failures;
+        const auto results =
+            opt.run_restarts(rng, kGoldenRestarts, pool, &failures);
+        EXPECT_TRUE(failures.empty());
+        for (std::size_t r = 0; r < results.size(); ++r) {
+          rows.push_back(golden_row(use_diffusion, pool != nullptr, r,
+                                    results[r], kind));
+        }
       }
     }
   }
@@ -426,7 +445,7 @@ TEST(GoldenRestarts, ReplaysCorpusBitForBitOnEveryTarget) {
     return;
   }
   const auto expected = golden_corpus();
-  ASSERT_EQ(expected.size(), 4u * kGoldenRestarts)
+  ASSERT_EQ(expected.size(), std::size(kGoldenSurrogates) * 4u * kGoldenRestarts)
       << "golden_restarts.csv missing or truncated";
   const bool initial = nn::kernel::simd_enabled();
   for (bool simd : {false, true}) {
@@ -434,6 +453,114 @@ TEST(GoldenRestarts, ReplaysCorpusBitForBitOnEveryTarget) {
     nn::kernel::set_simd_enabled(simd);
     const std::string target = nn::kernel::active_target();
     const auto actual = golden_restart_rows();
+    nn::kernel::set_simd_enabled(initial);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i], expected[i]) << "row " << i << " on " << target;
+    }
+  }
+}
+
+// ---- golden training hashes ---------------------------------------------
+//
+// FNV-1a hashes of every parameter's bytes after a few epochs of surrogate
+// training (MTL and LOSTIN on c17) and after a few denoiser iterations,
+// replayed on every dispatch target. Training runs the Eq. 13 ops plus
+// their parameter grads, the storage allocator and Adam, so these pin the
+// nn substrate's float order end to end. The labels are a fixed function
+// of each sequence, so the hashes depend neither on synthesis nor on label
+// normalization. Rows: model,kind,steps,hash. Regenerate (only when a
+// change to training numbers is intended) with CLO_GOLDEN_TRAINING_OUT.
+
+std::string params_hash(nn::Module& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& p : m.parameters()) {
+    h = fnv_floats(p.data().data(), p.numel(), h);
+  }
+  return hex64(h);
+}
+
+/// 48 random length-8 sequences with labels computed from their
+/// transforms, z-normalized by fixed constants.
+core::Dataset golden_training_dataset(clo::Rng& rng) {
+  core::Dataset ds;
+  for (int i = 0; i < 48; ++i) {
+    opt::Sequence seq = opt::random_sequence(8, rng);
+    double area = 0.0, delay = 0.0;
+    for (std::size_t k = 0; k < seq.size(); ++k) {
+      const int t = static_cast<int>(seq[k]);
+      area += static_cast<double>((t + 1) * static_cast<int>(k + 1));
+      delay += static_cast<double>((t % 3) * 2 + static_cast<int>(k % 2));
+    }
+    ds.sequences.push_back(std::move(seq));
+    ds.qor.push_back({area, delay});
+  }
+  ds.area_mean = 140.0;
+  ds.area_std = 40.0;
+  ds.delay_mean = 12.0;
+  ds.delay_std = 4.0;
+  return ds;
+}
+
+/// Every training row at the current dispatch target.
+std::vector<std::string> golden_training_rows() {
+  constexpr int kEpochs = 3;
+  constexpr int kIterations = 12;
+  std::vector<std::string> rows;
+  const aig::Aig g = circuits::make_benchmark("c17");
+  for (const std::string kind : {"mtl", "lostin"}) {
+    clo::Rng rng(31);
+    models::TransformEmbedding embedding(8, rng);
+    const core::Dataset ds = golden_training_dataset(rng);
+    models::SurrogateConfig scfg;
+    scfg.seq_len = 8;
+    auto model = models::make_surrogate(kind, g, scfg, rng);
+    core::TrainConfig tcfg;
+    tcfg.epochs = kEpochs;
+    tcfg.batch_size = 16;
+    core::train_surrogate(*model, embedding, ds, tcfg, rng);
+    rows.push_back("surrogate," + kind + ',' + std::to_string(kEpochs) + ',' +
+                   params_hash(*model));
+  }
+  clo::Rng rng(37);
+  models::TransformEmbedding embedding(8, rng);
+  const core::Dataset ds = golden_training_dataset(rng);
+  std::vector<std::vector<float>> data;
+  for (const auto& seq : ds.sequences) data.push_back(embedding.embed(seq));
+  models::DiffusionConfig dcfg;
+  dcfg.seq_len = 8;
+  dcfg.num_steps = 16;
+  models::DiffusionModel diffusion(dcfg, rng);
+  diffusion.train(data, kIterations, 8, 1e-3f, rng);
+  rows.push_back("denoiser,unet," + std::to_string(kIterations) + ',' +
+                 params_hash(diffusion.unet()));
+  return rows;
+}
+
+TEST(GoldenTraining, ReplaysWeightHashesBitForBitOnEveryTarget) {
+  const std::string path =
+      std::string(CLO_TEST_DATA_DIR) + "/golden_training.csv";
+  if (const char* out = std::getenv("CLO_GOLDEN_TRAINING_OUT")) {
+    std::ofstream file(out);
+    file << "# model,kind,epochs or iterations,FNV-1a of every parameter's "
+            "bytes after training on c17. Regenerate with "
+            "CLO_GOLDEN_TRAINING_OUT (see tests/test_checkpoint.cpp).\n";
+    for (const auto& row : golden_training_rows()) file << row << '\n';
+    ASSERT_TRUE(file.good()) << "cannot write " << out;
+    return;
+  }
+  std::ifstream in(path);
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') expected.push_back(line);
+  }
+  ASSERT_EQ(expected.size(), 3u) << path << " missing or truncated";
+  const bool initial = nn::kernel::simd_enabled();
+  for (bool simd : {false, true}) {
+    if (simd && !nn::kernel::simd_supported()) continue;
+    nn::kernel::set_simd_enabled(simd);
+    const std::string target = nn::kernel::active_target();
+    const auto actual = golden_training_rows();
     nn::kernel::set_simd_enabled(initial);
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < actual.size(); ++i) {
