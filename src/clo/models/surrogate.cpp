@@ -89,12 +89,6 @@ std::vector<Tensor> AigEncoder::parameters() {
 
 namespace {
 
-/// Broadcast a [1, c] tensor to [rows, c] (differentiable via matmul).
-Tensor broadcast_rows(const Tensor& row, int rows) {
-  Tensor ones = Tensor::full({rows, 1}, 1.0f);
-  return nn::matmul(ones, row);
-}
-
 /// Split a [B, L*d] batch into L step tensors of [B, d].
 std::vector<Tensor> split_steps(const Tensor& x, int L, int d) {
   std::vector<Tensor> steps;
@@ -125,9 +119,9 @@ class MtlSurrogate final : public SurrogateModel {
     const int B = x.dim(0);
     auto steps = split_steps(x, config_.seq_len, config_.embed_dim);
     auto hs = lstm_.forward(steps);
-    Tensor circ = broadcast_rows(encoder_.forward(), B);
-    Tensor fa = nn::concat_cols(attn_area_.forward(hs), circ);
-    Tensor fd = nn::concat_cols(attn_delay_.forward(hs), circ);
+    Tensor circ = nn::repeat_rows(encoder_.forward(), B);
+    Tensor fa = nn::concat_cols({attn_area_.forward(hs), circ});
+    Tensor fd = nn::concat_cols({attn_delay_.forward(hs), circ});
     return Output{head_area_.forward(fa), head_delay_.forward(fd)};
   }
 
@@ -171,8 +165,8 @@ class LostinSurrogate final : public SurrogateModel {
     const int B = x.dim(0);
     auto steps = split_steps(x, config_.seq_len, config_.embed_dim);
     auto hs = lstm_.forward(steps);
-    Tensor circ = broadcast_rows(encoder_.forward(), B);
-    Tensor feat = nn::concat_cols(hs.back(), circ);
+    Tensor circ = nn::repeat_rows(encoder_.forward(), B);
+    Tensor feat = nn::concat_cols({hs.back(), circ});
     return Output{head_area_.forward(feat), head_delay_.forward(feat)};
   }
 
@@ -216,13 +210,13 @@ class CnnSurrogate final : public SurrogateModel {
     // sequence positions the length axis. Built differentiably by slicing
     // strided columns and stacking them as channels.
     Tensor chans;  // [B, d, L]
+    std::vector<Tensor> taps(L);
     for (int c = 0; c < d; ++c) {
-      Tensor col;  // [B, L] = columns c, c+d, c+2d, ...
+      // [B, L] = columns c, c+d, c+2d, ...
       for (int t = 0; t < L; ++t) {
-        Tensor v = nn::slice_cols(x, t * d + c, t * d + c + 1);
-        col = col.defined() ? nn::concat_cols(col, v) : v;
+        taps[t] = nn::slice_cols(x, t * d + c, t * d + c + 1);
       }
-      Tensor as3d = nn::reshape(col, {B, 1, L});
+      Tensor as3d = nn::reshape(nn::concat_cols(taps), {B, 1, L});
       chans = chans.defined() ? nn::concat_channels(chans, as3d) : as3d;
     }
     Tensor h = nn::relu(conv1_.forward(chans));

@@ -65,20 +65,16 @@ AttentionPool::AttentionPool(int features, int attn_dim, clo::Rng& rng)
 
 Tensor AttentionPool::forward(const std::vector<Tensor>& steps) {
   // scores[:, t] = v . tanh(W h_t + b)
-  Tensor scores;  // [batch, T]
+  std::vector<Tensor> score_cols;  // T x [batch, 1]
+  score_cols.reserve(steps.size());
   for (const Tensor& h : steps) {
-    Tensor s = matmul(tanh_op(add_bias(matmul(h, w_), b_)), v_);  // [B,1]
-    scores = scores.defined() ? concat_cols(scores, s) : s;
+    score_cols.push_back(matmul(tanh_op(add_bias(matmul(h, w_), b_)), v_));
   }
-  Tensor alpha = softmax_rows(scores);  // [B,T]
+  Tensor alpha = softmax_rows(concat_cols(score_cols));  // [B,T]
   Tensor pooled;
   for (std::size_t t = 0; t < steps.size(); ++t) {
-    // Broadcast alpha[:, t] over features by elementwise trick:
     Tensor at = slice_cols(alpha, static_cast<int>(t), static_cast<int>(t) + 1);
-    // [B,1] x [1,F] multiplication is emulated with matmul against ones.
-    Tensor ones = Tensor::full({1, steps[t].dim(1)}, 1.0f);
-    Tensor at_full = matmul(at, ones);  // [B,F]
-    Tensor term = mul(at_full, steps[t]);
+    Tensor term = scale_rows(steps[t], at);  // alpha[:, t] * h_t
     pooled = pooled.defined() ? add(pooled, term) : term;
   }
   return pooled;

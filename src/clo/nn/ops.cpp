@@ -10,19 +10,32 @@
 namespace clo::nn {
 namespace {
 
-Tensor make_result(std::vector<int> shape,
-                   std::vector<std::shared_ptr<TensorImpl>> parents,
-                   std::function<void(TensorImpl&)> backward_fn) {
+/// The output node of an op: zeroed storage of `shape`, plus — only when
+/// the graph is being recorded and some parent takes part in it — the
+/// parents and the backward closure. Otherwise no graph piece is built:
+/// the closure is dropped unconverted, so inference allocates nothing but
+/// the output.
+template <typename It, typename Fn>
+Tensor make_node(std::vector<int> shape, It first, It last, Fn&& backward_fn) {
   Tensor out = Tensor::zeros(std::move(shape));
-  bool any_grad = false;
-  for (const auto& p : parents) any_grad = any_grad || p->requires_grad;
-  any_grad = any_grad && grad_enabled();
-  out.impl()->requires_grad = any_grad;
-  if (any_grad) {
-    out.impl()->parents = std::move(parents);
-    out.impl()->backward_fn = std::move(backward_fn);
+  TensorImpl& node = *out.impl();
+  node.requires_grad =
+      grad_enabled() && std::any_of(first, last, [](const auto& p) {
+        return p->requires_grad;
+      });
+  if (node.requires_grad) {
+    node.parents.assign(first, last);
+    node.backward_fn = std::forward<Fn>(backward_fn);
   }
   return out;
+}
+
+template <typename Fn>
+Tensor make_result(std::vector<int> shape,
+                   std::initializer_list<std::shared_ptr<TensorImpl>> parents,
+                   Fn&& backward_fn) {
+  return make_node(std::move(shape), parents.begin(), parents.end(),
+                   std::forward<Fn>(backward_fn));
 }
 
 void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
@@ -121,6 +134,70 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+Tensor scale_rows(const Tensor& x, const Tensor& s) {
+  if (x.ndim() != 2 || s.ndim() != 2 || s.dim(1) != 1 ||
+      s.dim(0) != x.dim(0)) {
+    throw std::invalid_argument("scale_rows: need [r,c] and [r,1]");
+  }
+  const int rows = x.dim(0), cols = x.dim(1);
+  auto px = x.impl();
+  auto ps = s.impl();
+  // The factor is read as 0 + s, which is what the ones-matmul broadcast
+  // this replaces stored (it maps -0 to +0); s's grad is one dot per row,
+  // which is what that matmul's backward took over the broadcast grad.
+  Tensor out = make_result(x.shape(), {px, ps},
+                           [px, ps, rows, cols](TensorImpl& self) {
+    const bool gx = wants_grad(*px), gs = wants_grad(*ps);
+    if (gx) px->ensure_grad();
+    if (gs) ps->ensure_grad();
+    for (int r = 0; r < rows; ++r) {
+      const std::size_t row = static_cast<std::size_t>(r) * cols;
+      if (gs) {
+        ps->grad[r] += kernel::dot(self.grad.data() + row,
+                                   px->data.data() + row, cols);
+      }
+      if (gx) {
+        const float f = 0.0f + ps->data[r];
+        for (int c = 0; c < cols; ++c) {
+          px->grad[row + c] += self.grad[row + c] * f;
+        }
+      }
+    }
+  });
+  for (int r = 0; r < rows; ++r) {
+    const std::size_t row = static_cast<std::size_t>(r) * cols;
+    const float f = 0.0f + ps->data[r];
+    for (int c = 0; c < cols; ++c) {
+      out.data()[row + c] = f * px->data[row + c];
+    }
+  }
+  return out;
+}
+
+Tensor repeat_rows(const Tensor& row, int rows) {
+  if (row.ndim() != 2 || row.dim(0) != 1 || rows < 1) {
+    throw std::invalid_argument("repeat_rows: need [1,c] and rows >= 1");
+  }
+  const int cols = row.dim(1);
+  auto pr = row.impl();
+  // Each output row accumulates the input row into zeroed storage, and
+  // the input's grad is one chain over the output rows in order: the
+  // float operations of the ones-matmul broadcast this replaces.
+  Tensor out = make_result({rows, cols}, {pr}, [pr, rows, cols](TensorImpl& self) {
+    if (!wants_grad(*pr)) return;
+    pr->ensure_grad();
+    for (int r = 0; r < rows; ++r) {
+      kernel::acc(pr->grad.data(),
+                  self.grad.data() + static_cast<std::size_t>(r) * cols, cols);
+    }
+  });
+  for (int r = 0; r < rows; ++r) {
+    kernel::acc(out.data().data() + static_cast<std::size_t>(r) * cols,
+                pr->data.data(), cols);
+  }
+  return out;
+}
+
 Tensor scale(const Tensor& a, float s) {
   auto pa = a.impl();
   Tensor out = make_result(a.shape(), {pa}, [pa, s](TensorImpl& self) {
@@ -139,25 +216,16 @@ namespace {
 template <typename Fwd, typename Dfn>
 Tensor unary_op(const Tensor& a, Fwd fwd, Dfn dydx_from_y) {
   auto pa = a.impl();
-  Tensor out = Tensor::zeros(a.shape());
+  // The derivative is a function of the output, which the closure reads
+  // from its own node.
+  Tensor out = make_result(a.shape(), {pa}, [pa, dydx_from_y](TensorImpl& self) {
+    pa->ensure_grad();
+    for (std::size_t i = 0; i < self.grad.size(); ++i) {
+      pa->grad[i] += self.grad[i] * dydx_from_y(self.data[i]);
+    }
+  });
   for (std::size_t i = 0; i < out.numel(); ++i) {
     out.data()[i] = fwd(pa->data[i]);
-  }
-  auto po = out.impl();
-  bool needs =
-      (pa->requires_grad || pa->backward_fn != nullptr) && grad_enabled();
-  // Mirror make_result wiring but capture the output data for the backward.
-  if (needs) {
-    out.impl()->requires_grad = true;
-    out.impl()->parents = {pa};
-    FloatBuf y = out.data();
-    out.impl()->backward_fn = [pa, y = std::move(y),
-                               dydx_from_y](TensorImpl& self) {
-      pa->ensure_grad();
-      for (std::size_t i = 0; i < self.grad.size(); ++i) {
-        pa->grad[i] += self.grad[i] * dydx_from_y(y[i]);
-      }
-    };
   }
   return out;
 }
@@ -183,24 +251,19 @@ Tensor tanh_op(const Tensor& a) {
 }
 
 Tensor silu(const Tensor& a) {
-  // silu(x) = x * sigmoid(x); derivative needs x, so capture input.
+  // silu(x) = x * sigmoid(x); derivative needs x, so read the input.
   auto pa = a.impl();
-  Tensor out = Tensor::zeros(a.shape());
+  Tensor out = make_result(a.shape(), {pa}, [pa](TensorImpl& self) {
+    pa->ensure_grad();
+    for (std::size_t i = 0; i < self.grad.size(); ++i) {
+      const float x = pa->data[i];
+      const float s = 1.0f / (1.0f + std::exp(-x));
+      pa->grad[i] += self.grad[i] * (s + x * s * (1.0f - s));
+    }
+  });
   for (std::size_t i = 0; i < out.numel(); ++i) {
     const float x = pa->data[i];
     out.data()[i] = x / (1.0f + std::exp(-x));
-  }
-  if ((pa->requires_grad || pa->backward_fn) && grad_enabled()) {
-    out.impl()->requires_grad = true;
-    out.impl()->parents = {pa};
-    out.impl()->backward_fn = [pa](TensorImpl& self) {
-      pa->ensure_grad();
-      for (std::size_t i = 0; i < self.grad.size(); ++i) {
-        const float x = pa->data[i];
-        const float s = 1.0f / (1.0f + std::exp(-x));
-        pa->grad[i] += self.grad[i] * (s + x * s * (1.0f - s));
-      }
-    };
   }
   return out;
 }
@@ -320,38 +383,48 @@ Tensor reshape(const Tensor& a, std::vector<int> shape) {
   return out;
 }
 
-Tensor concat_cols(const Tensor& a, const Tensor& b) {
-  if (a.ndim() != 2 || b.ndim() != 2 || a.dim(0) != b.dim(0)) {
-    throw std::invalid_argument("concat_cols: need [r,ca],[r,cb]");
+Tensor concat_cols(const std::vector<Tensor>& parts) {
+  if (parts.empty()) throw std::invalid_argument("concat_cols: no parts");
+  if (parts.size() == 1) return parts[0];
+  const int rows = parts[0].dim(0);
+  int cols = 0;
+  for (const Tensor& p : parts) {
+    if (p.ndim() != 2 || p.dim(0) != rows) {
+      throw std::invalid_argument("concat_cols: need [r,c_i] parts");
+    }
+    cols += p.dim(1);
   }
-  const int rows = a.dim(0), ca = a.dim(1), cb = b.dim(1);
-  auto pa = a.impl();
-  auto pb = b.impl();
-  Tensor out = make_result({rows, ca + cb}, {pa, pb},
-                           [pa, pb, rows, ca, cb](TensorImpl& self) {
-    const bool ga = wants_grad(*pa), gb = wants_grad(*pb);
-    if (ga) pa->ensure_grad();
-    if (gb) pb->ensure_grad();
-    for (int r = 0; r < rows; ++r) {
-      if (ga) {
-        for (int c = 0; c < ca; ++c) {
-          pa->grad[r * ca + c] += self.grad[r * (ca + cb) + c];
+  std::vector<std::shared_ptr<TensorImpl>> ps;
+  ps.reserve(parts.size());
+  for (const Tensor& p : parts) ps.push_back(p.impl());
+  // The closure reads its parents back from its own node. Each part's
+  // grad takes one += per element, which is what the pairwise chain this
+  // replaces gave it: every hop of that chain added into a zeroed grad.
+  Tensor out = make_node({rows, cols}, ps.begin(), ps.end(),
+                         [rows, cols](TensorImpl& self) {
+    int offset = 0;
+    for (const auto& p : self.parents) {
+      const int w = p->shape[1];
+      if (wants_grad(*p)) {
+        p->ensure_grad();
+        for (int r = 0; r < rows; ++r) {
+          for (int c = 0; c < w; ++c) {
+            p->grad[r * w + c] += self.grad[r * cols + offset + c];
+          }
         }
       }
-      if (gb) {
-        for (int c = 0; c < cb; ++c) {
-          pb->grad[r * cb + c] += self.grad[r * (ca + cb) + ca + c];
-        }
-      }
+      offset += w;
     }
   });
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < ca; ++c) {
-      out.data()[r * (ca + cb) + c] = pa->data[r * ca + c];
+  int offset = 0;
+  for (const auto& p : ps) {
+    const int w = p->shape[1];
+    for (int r = 0; r < rows; ++r) {
+      std::copy_n(p->data.data() + static_cast<std::size_t>(r) * w, w,
+                  out.data().data() + static_cast<std::size_t>(r) * cols +
+                      offset);
     }
-    for (int c = 0; c < cb; ++c) {
-      out.data()[r * (ca + cb) + ca + c] = pb->data[r * cb + c];
-    }
+    offset += w;
   }
   return out;
 }
@@ -407,7 +480,20 @@ Tensor softmax_rows(const Tensor& a) {
   if (a.ndim() != 2) throw std::invalid_argument("softmax_rows: need 2-D");
   const int rows = a.dim(0), cols = a.dim(1);
   auto pa = a.impl();
-  Tensor out = Tensor::zeros(a.shape());
+  // The backward reads the output y from its own node.
+  Tensor out = make_result(a.shape(), {pa}, [pa, rows, cols](TensorImpl& self) {
+    pa->ensure_grad();
+    const FloatBuf& y = self.data;
+    for (int r = 0; r < rows; ++r) {
+      const float dot =
+          kernel::dot(self.grad.data() + static_cast<std::size_t>(r) * cols,
+                      y.data() + static_cast<std::size_t>(r) * cols, cols);
+      for (int c = 0; c < cols; ++c) {
+        pa->grad[r * cols + c] +=
+            y[r * cols + c] * (self.grad[r * cols + c] - dot);
+      }
+    }
+  });
   for (int r = 0; r < rows; ++r) {
     float* orow = out.data().data() + static_cast<std::size_t>(r) * cols;
     const float* arow = pa->data.data() + static_cast<std::size_t>(r) * cols;
@@ -422,24 +508,6 @@ Tensor softmax_rows(const Tensor& a) {
       z += e;
     }
     kernel::div_inplace(orow, z, cols);
-  }
-  if ((pa->requires_grad || pa->backward_fn) && grad_enabled()) {
-    out.impl()->requires_grad = true;
-    out.impl()->parents = {pa};
-    FloatBuf y = out.data();
-    out.impl()->backward_fn = [pa, y = std::move(y), rows,
-                               cols](TensorImpl& self) {
-      pa->ensure_grad();
-      for (int r = 0; r < rows; ++r) {
-        const float dot =
-            kernel::dot(self.grad.data() + static_cast<std::size_t>(r) * cols,
-                        y.data() + static_cast<std::size_t>(r) * cols, cols);
-        for (int c = 0; c < cols; ++c) {
-          pa->grad[r * cols + c] +=
-              y[r * cols + c] * (self.grad[r * cols + c] - dot);
-        }
-      }
-    };
   }
   return out;
 }

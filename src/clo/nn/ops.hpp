@@ -3,7 +3,8 @@
 //  * 2-D [rows, cols] for dense layers,
 //  * 3-D [batch, channels, length] for the 1-D U-Net convolutions.
 // Broadcasting is deliberately limited to the cases the models need:
-// adding a [cols] bias to [rows, cols], and scalar scaling.
+// adding a [cols] bias to [rows, cols], scaling rows by a [rows, 1]
+// column, repeating a [1, cols] row, and scalar scaling.
 
 #include "clo/nn/tensor.hpp"
 
@@ -14,6 +15,10 @@ Tensor add(const Tensor& a, const Tensor& b);        ///< same shape
 Tensor add_bias(const Tensor& a, const Tensor& b);   ///< [r,c] + [c]
 Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);        ///< same shape
+/// Row-broadcast multiply: out[r,c] = s[r] * x[r,c] for x [r,c], s [r,1].
+Tensor scale_rows(const Tensor& x, const Tensor& s);
+/// Broadcast a [1,c] row to [rows,c].
+Tensor repeat_rows(const Tensor& row, int rows);
 Tensor scale(const Tensor& a, float s);
 Tensor neg(const Tensor& a);
 
@@ -36,8 +41,8 @@ Tensor mse_loss(const Tensor& pred, const Tensor& target);
 
 // ---- Shape ops ---------------------------------------------------------------
 Tensor reshape(const Tensor& a, std::vector<int> shape);
-/// Concatenate 2-D tensors along the last dim.
-Tensor concat_cols(const Tensor& a, const Tensor& b);
+/// Concatenate 2-D tensors with equal row counts along the last dim.
+Tensor concat_cols(const std::vector<Tensor>& parts);
 /// Columns [begin, end) of a 2-D tensor.
 Tensor slice_cols(const Tensor& a, int begin, int end);
 /// Select rows of a 2-D tensor by index (gather); backward scatter-adds.

@@ -1,9 +1,9 @@
 #include "clo/nn/tensor.hpp"
 
+#include <atomic>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace clo::nn {
 namespace {
@@ -73,32 +73,38 @@ void backward(const Tensor& root) {
   if (root.numel() != 1) {
     throw std::invalid_argument("backward: root must be scalar");
   }
-  // Topological order over the dynamic graph.
+  // Post-order over the interior nodes (those with a backward closure).
+  // Leaves have nothing to run, so the walk never enters them; a node is
+  // stamped with this call's id when first reached, so one shared by
+  // several consumers is ordered once. The interior order is the one a
+  // walk over every node gives, so grads accumulate in the same order.
+  static std::atomic<std::uint64_t> calls{0};
+  const std::uint64_t stamp = calls.fetch_add(1, std::memory_order_relaxed) + 1;
+  TensorImpl* top = root.impl().get();
   std::vector<TensorImpl*> order;
-  std::unordered_set<TensorImpl*> visited;
-  std::vector<std::pair<TensorImpl*, std::size_t>> stack;
-  stack.emplace_back(root.impl().get(), 0);
-  while (!stack.empty()) {
-    auto& [node, next_parent] = stack.back();
-    if (visited.count(node)) {
-      stack.pop_back();
-      continue;
-    }
-    if (next_parent < node->parents.size()) {
-      TensorImpl* parent = node->parents[next_parent].get();
-      ++next_parent;
-      if (!visited.count(parent)) stack.emplace_back(parent, 0);
-    } else {
-      visited.insert(node);
-      order.push_back(node);
-      stack.pop_back();
+  if (top->backward_fn) {
+    std::vector<std::pair<TensorImpl*, std::size_t>> stack;
+    top->visit = stamp;
+    stack.emplace_back(top, 0);
+    while (!stack.empty()) {
+      auto& [node, next_parent] = stack.back();
+      if (next_parent < node->parents.size()) {
+        TensorImpl* parent = node->parents[next_parent++].get();
+        if (parent->backward_fn && parent->visit != stamp) {
+          parent->visit = stamp;
+          stack.emplace_back(parent, 0);
+        }
+      } else {
+        order.push_back(node);
+        stack.pop_back();
+      }
     }
   }
-  root.impl()->ensure_grad();
-  root.impl()->grad[0] += 1.0f;
+  top->ensure_grad();
+  top->grad[0] += 1.0f;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TensorImpl* node = *it;
-    if (node->backward_fn && node->grad.size() == node->data.size()) {
+    if (node->grad.size() == node->data.size()) {
       node->backward_fn(*node);
       // Every consumer has already pushed into this interior grad, so it
       // is dead once pushed on: free it while the backward walks on.

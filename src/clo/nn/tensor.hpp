@@ -9,6 +9,7 @@
 // accumulation from a scalar root.
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -32,6 +33,9 @@ struct TensorImpl {
   bool requires_grad = false;
   std::vector<std::shared_ptr<TensorImpl>> parents;
   std::function<void(TensorImpl&)> backward_fn;  ///< pushes grad to parents
+  /// The backward() call that last visited this node (interior nodes only;
+  /// 0 = never).
+  std::uint64_t visit = 0;
 
   std::size_t numel() const { return data.size(); }
   void ensure_grad() {
@@ -87,6 +91,9 @@ class Tensor {
 /// parameters, optimizer inputs) are accumulated into; callers zero them
 /// between steps via the optimizer. Interior grads, the root's included,
 /// do not survive the call: each is freed right after its closure has run.
+/// The walk visits interior nodes only and writes nothing to a leaf it
+/// does not accumulate into, so frozen weights shared by concurrent passes
+/// (see GradFreeze) are only ever read.
 void backward(const Tensor& root);
 
 /// Detached copy: same data, no graph history.

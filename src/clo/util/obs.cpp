@@ -9,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -97,6 +98,9 @@ struct TraceEvent {
   const char* label;
   std::uint64_t ts_ns;  // since trace epoch
   char phase;           // 'B' or 'E'
+  /// Begin events only: the span path this thread's outermost spans nest
+  /// under (a pool task's poster), or nullptr.
+  const std::string* parent = nullptr;
 };
 
 struct TraceBuffer {
@@ -136,10 +140,53 @@ TraceBuffer& local_trace_buffer() {
   return *buffer;
 }
 
-void record_event(const char* label, char phase) {
+void record_event(const char* label, char phase,
+                  const std::string* parent = nullptr) {
   TraceBuffer& buf = local_trace_buffer();
   std::lock_guard<std::mutex> lock(buf.mu);
-  buf.events.push_back({label, now_ns(), phase});
+  buf.events.push_back({label, now_ns(), phase, parent});
+}
+
+// ---------------------------------------------------------------------------
+// Span paths across threads: each thread tracks the labels of its open
+// (recorded) spans and the path its outermost spans inherit, so a pool
+// task's spans nest under the span that posted it.
+// ---------------------------------------------------------------------------
+
+/// Interned span paths: stable addresses for the life of the process, so
+/// trace events and queued tasks can hold them by pointer. The set only
+/// grows by the distinct paths a run opens pool tasks under.
+const std::string* intern_path(std::string path) {
+  static std::mutex mu;
+  static std::set<std::string>* paths = new std::set<std::string>();
+  std::lock_guard<std::mutex> lock(mu);
+  return &*paths->insert(std::move(path)).first;
+}
+
+struct SpanStack {
+  std::vector<const char*> open;            ///< labels, outermost first
+  const std::string* inherited = nullptr;   ///< see SpanParent
+  const std::string* path = nullptr;        ///< interned; null = stale
+};
+
+thread_local SpanStack t_spans;
+
+void push_span(const char* label) {
+  t_spans.open.push_back(label);
+  t_spans.path = nullptr;
+}
+
+void pop_span(const char* label) {
+  auto& open = t_spans.open;
+  // Spans end in LIFO order unless one was heap-allocated; drop the
+  // innermost open span with this label either way.
+  for (auto it = open.rbegin(); it != open.rend(); ++it) {
+    if (*it == label) {
+      open.erase(std::next(it).base());
+      break;
+    }
+  }
+  t_spans.path = nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -794,9 +841,13 @@ Profile build_profile() {
         Frame frame;
         frame.label = event.label;
         frame.begin_ns = event.ts_ns;
-        frame.path = stack.empty()
-                         ? std::string(event.label)
-                         : stack.back().path + "/" + event.label;
+        if (!stack.empty()) {
+          frame.path = stack.back().path + "/" + event.label;
+        } else if (event.parent != nullptr) {
+          frame.path = *event.parent + "/" + event.label;
+        } else {
+          frame.path = event.label;
+        }
         stack.push_back(std::move(frame));
         continue;
       }
@@ -885,11 +936,40 @@ std::string Profile::format_table() const {
 
 ScopedSpan::ScopedSpan(const char* label)
     : label_(label), active_(enabled()) {
-  if (active_) record_event(label_, 'B');
+  if (!active_) return;
+  record_event(label_, 'B', t_spans.inherited);
+  push_span(label_);
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (active_) record_event(label_, 'E');
+  if (!active_) return;
+  pop_span(label_);
+  record_event(label_, 'E');
+}
+
+const std::string* current_span_path() {
+  if (!enabled()) return nullptr;
+  SpanStack& spans = t_spans;
+  if (spans.open.empty()) return spans.inherited;
+  if (spans.path == nullptr) {
+    std::string path = spans.inherited ? *spans.inherited : std::string();
+    for (const char* label : spans.open) {
+      if (!path.empty()) path += '/';
+      path += label;
+    }
+    spans.path = intern_path(std::move(path));
+  }
+  return spans.path;
+}
+
+SpanParent::SpanParent(const std::string* path) : saved_(t_spans.inherited) {
+  t_spans.inherited = path;
+  t_spans.path = nullptr;
+}
+
+SpanParent::~SpanParent() {
+  t_spans.inherited = saved_;
+  t_spans.path = nullptr;
 }
 
 void write_trace(std::ostream& os) {

@@ -245,7 +245,10 @@ struct Profile {
 /// Aggregate the recorded span stream into a hierarchical profile: walk
 /// each thread's begin/end events with a stack, accumulate per-path count,
 /// total and self time, and exact p50/p99 over span durations, then merge
-/// the per-thread results by path. Spans still open (or truncated by a
+/// the per-thread results by path. A thread's outermost spans take the
+/// path they inherited (see SpanParent) as their parent, so pool workers'
+/// spans nest under the span that posted their task; a parent's self time
+/// covers only its own thread. Spans still open (or truncated by a
 /// mid-span trace toggle) are skipped, never mispaired.
 Profile build_profile();
 
@@ -268,6 +271,28 @@ class ScopedSpan {
  private:
   const char* label_;
   bool active_;
+};
+
+/// The calling thread's open-span path ("a/b/c", under any path it
+/// inherited through a SpanParent), interned for the life of the process;
+/// nullptr when tracing is off or no span is open. ThreadPool captures it
+/// when a task is queued.
+const std::string* current_span_path();
+
+/// RAII: while alive, spans the calling thread opens with no open parent
+/// of its own nest under `path` (nullptr = at the profile root) in
+/// build_profile. ThreadPool workers hold one around each task, set to
+/// the posting thread's current_span_path(), so a worker's spans land
+/// under the span that fanned the work out.
+class SpanParent {
+ public:
+  explicit SpanParent(const std::string* path);
+  ~SpanParent();
+  SpanParent(const SpanParent&) = delete;
+  SpanParent& operator=(const SpanParent&) = delete;
+
+ private:
+  const std::string* saved_;
 };
 
 /// Serialize every recorded span as Chrome trace-event JSON

@@ -1,5 +1,7 @@
 #include "clo/util/thread_pool.hpp"
 
+#include "clo/util/obs.hpp"
+
 namespace clo::util {
 namespace {
 
@@ -29,9 +31,14 @@ void ThreadPool::post(std::function<void()> task) {
     task();
     return;
   }
+  enqueue(std::move(task));
+}
+
+void ThreadPool::enqueue(std::function<void()> fn) {
+  Task task{std::move(fn), obs::current_span_path()};
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.emplace_back(std::move(task));
+    queue_.push_back(std::move(task));
   }
   cv_.notify_one();
 }
@@ -41,7 +48,7 @@ bool ThreadPool::on_worker_thread() { return t_on_worker; }
 void ThreadPool::worker_loop() {
   t_on_worker = true;
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -49,7 +56,8 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();
+    obs::SpanParent parent(task.span_parent);
+    task.fn();
   }
 }
 

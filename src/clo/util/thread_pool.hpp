@@ -15,6 +15,10 @@
 // inline (same thread, immediately). This keeps nested parallel_for calls
 // deadlock-free without work stealing; the inner loop simply degrades to
 // serial execution.
+//
+// Tracing: a queued task carries the posting thread's open span path, so
+// the spans it opens on a worker nest under that path in the profile
+// (obs::SpanParent) — at any worker count the profile has the same tree.
 
 #include <algorithm>
 #include <atomic>
@@ -62,11 +66,7 @@ class ThreadPool {
       (*task)();
       return result;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    cv_.notify_one();
+    enqueue([task] { (*task)(); });
     return result;
   }
 
@@ -80,10 +80,18 @@ class ThreadPool {
   static bool on_worker_thread();
 
  private:
+  /// A queued task and the poster's span path (obs::current_span_path),
+  /// which the worker's spans nest under in the profile.
+  struct Task {
+    std::function<void()> fn;
+    const std::string* span_parent = nullptr;
+  };
+
+  void enqueue(std::function<void()> fn);
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<Task> queue_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;

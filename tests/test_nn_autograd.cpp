@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 
+#include "clo/nn/kernel.hpp"
 #include "clo/nn/ops.hpp"
 #include "clo/nn/tensor.hpp"
 #include "clo/util/rng.hpp"
@@ -115,7 +119,7 @@ TEST(Autograd, MeanRowsAndReshape) {
 TEST(Autograd, ConcatSliceCols) {
   const Tensor other = random_tensor({2, 2}, 20);
   grad_check(random_tensor({2, 3}, 21), [&](const Tensor& x) {
-    Tensor cat = concat_cols(x, other);
+    Tensor cat = concat_cols({x, other});
     return sum_all(mul(slice_cols(cat, 1, 4), slice_cols(cat, 0, 3)));
   });
 }
@@ -308,6 +312,177 @@ TEST(Autograd, NoGradGuardDisablesGraphRecording) {
   backward(y);
   EXPECT_NEAR(x.grad()[0], 2.0f, 1e-5);
   EXPECT_NEAR(x.grad()[1], 4.0f, 1e-5);
+}
+
+TEST(Autograd, RepeatedBackwardWalksTheGraphAgain) {
+  Tensor x = Tensor::from_data({2}, {1.0f, -3.0f}, true);
+  Tensor y = sum_all(mul(x, x));
+  backward(y);
+  backward(y);
+  EXPECT_FLOAT_EQ(x.grad()[0], 4.0f);
+  EXPECT_FLOAT_EQ(x.grad()[1], -12.0f);
+}
+
+TEST(Autograd, BackwardLeavesFrozenAndConstantLeavesUntouched) {
+  // A frozen weight and a constant are read by the forward and never
+  // written by the backward: no grad buffer appears on either.
+  Tensor x = random_tensor({3, 4}, 21);
+  Tensor w = random_tensor({4, 2}, 22);
+  const Tensor c = Tensor::full({3, 2}, 0.5f);
+  {
+    GradFreeze freeze({w});
+    backward(sum_all(mul(matmul(x, w), c)));
+  }
+  EXPECT_TRUE(w.impl()->grad.empty());
+  EXPECT_TRUE(c.impl()->grad.empty());
+  EXPECT_FALSE(x.impl()->grad.empty());
+  EXPECT_TRUE(w.requires_grad());
+}
+
+// ---- op-level bit identity against the composites the ops replaced --------
+//
+// scale_rows, repeat_rows and the n-ary concat_cols replaced a ones-matmul
+// broadcast and a pairwise concat chain; each must give the same bits as
+// the composite, forward and for every input grad, on both dispatch
+// targets, including non-finite inputs (a 0 * Inf in the backward must
+// still surface as NaN). A NaN compares as "NaN": when an add meets two
+// NaNs, x86 returns the one in the first operand slot, and which operand
+// goes there is the compiler's choice, so NaN sign and payload are not
+// part of any kernel's contract.
+
+std::vector<std::uint32_t> bits_of(const FloatBuf& v) {
+  std::vector<std::uint32_t> out;
+  for (float f : v) {
+    out.push_back(std::isnan(f) ? 0x7fc00000u : std::bit_cast<std::uint32_t>(f));
+  }
+  return out;
+}
+
+/// Gaussian entries with about one in eight replaced by +-Inf, NaN or a
+/// signed zero.
+Tensor special_tensor(std::vector<int> shape, clo::Rng& rng,
+                      bool requires_grad = true) {
+  Tensor t = Tensor::randn(std::move(shape), rng, 1.0f, requires_grad);
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(), 0.0f,
+                            -0.0f};
+  for (auto& v : t.data()) {
+    if (rng.next_below(8) == 0) v = specials[rng.next_below(5)];
+  }
+  return t;
+}
+
+/// Runs `check` on every dispatch target this host supports.
+void on_every_target(const std::function<void()>& check) {
+  const bool initial = kernel::simd_enabled();
+  for (bool simd : {false, true}) {
+    if (simd && !kernel::simd_supported()) continue;
+    kernel::set_simd_enabled(simd);
+    SCOPED_TRACE(kernel::active_target());
+    check();
+  }
+  kernel::set_simd_enabled(initial);
+}
+
+/// Forward value and leaf grads of sum(out * upstream), a root that seeds
+/// out's grad with `upstream`.
+struct Pass {
+  std::vector<std::uint32_t> value;
+  std::vector<std::vector<std::uint32_t>> grads;
+};
+
+Pass run_pass(const std::vector<Tensor>& leaves, const Tensor& upstream,
+              const std::function<Tensor()>& build) {
+  for (Tensor leaf : leaves) leaf.zero_grad();
+  Tensor out = build();
+  Pass pass{bits_of(out.data()), {}};
+  backward(sum_all(mul(out, upstream)));
+  for (Tensor leaf : leaves) pass.grads.push_back(bits_of(leaf.grad()));
+  return pass;
+}
+
+void expect_same(const Pass& a, const Pass& b) {
+  EXPECT_EQ(a.value, b.value);
+  ASSERT_EQ(a.grads.size(), b.grads.size());
+  for (std::size_t i = 0; i < a.grads.size(); ++i) {
+    EXPECT_EQ(a.grads[i], b.grads[i]) << "grad of leaf " << i;
+  }
+}
+
+TEST(OpIdentity, ScaleRowsMatchesOnesMatmulBroadcast) {
+  on_every_target([] {
+    clo::Rng rng(41);
+    for (int trial = 0; trial < 40; ++trial) {
+      const int rows = 1 + static_cast<int>(rng.next_below(9));
+      const int cols = 1 + static_cast<int>(rng.next_below(40));
+      Tensor x = special_tensor({rows, cols}, rng);
+      Tensor s = special_tensor({rows, 1}, rng);
+      const Tensor up = special_tensor({rows, cols}, rng, false);
+      const Pass composite = run_pass({x, s}, up, [&] {
+        const Tensor ones = Tensor::full({1, cols}, 1.0f);
+        return mul(matmul(s, ones), x);
+      });
+      const Pass op = run_pass({x, s}, up, [&] { return scale_rows(x, s); });
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      expect_same(composite, op);
+    }
+  });
+}
+
+TEST(OpIdentity, RepeatRowsMatchesOnesMatmulBroadcast) {
+  on_every_target([] {
+    clo::Rng rng(43);
+    for (int trial = 0; trial < 40; ++trial) {
+      const int rows = 1 + static_cast<int>(rng.next_below(40));
+      const int cols = 1 + static_cast<int>(rng.next_below(24));
+      Tensor row = special_tensor({1, cols}, rng);
+      const Tensor up = special_tensor({rows, cols}, rng, false);
+      const Pass composite = run_pass({row}, up, [&] {
+        const Tensor ones = Tensor::full({rows, 1}, 1.0f);
+        return matmul(ones, row);
+      });
+      const Pass op = run_pass({row}, up, [&] { return repeat_rows(row, rows); });
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      expect_same(composite, op);
+    }
+  });
+}
+
+TEST(OpIdentity, ConcatColsMatchesPairwiseChain) {
+  on_every_target([] {
+    clo::Rng rng(47);
+    for (int trial = 0; trial < 40; ++trial) {
+      const int rows = 1 + static_cast<int>(rng.next_below(8));
+      const int n = 1 + static_cast<int>(rng.next_below(12));
+      std::vector<Tensor> parts;
+      int cols = 0;
+      for (int k = 0; k < n; ++k) {
+        const int w = 1 + static_cast<int>(rng.next_below(5));
+        // Parts are interior nodes, as the score columns are: their
+        // grads then flow on into the leaves.
+        parts.push_back(special_tensor({rows, w}, rng));
+        cols += w;
+      }
+      const Tensor up = special_tensor({rows, cols}, rng, false);
+      auto interior = [&parts] {
+        std::vector<Tensor> out;
+        for (const Tensor& p : parts) out.push_back(scale(p, 1.0f));
+        return out;
+      };
+      const Pass composite = run_pass(parts, up, [&] {
+        Tensor chain;
+        for (const Tensor& p : interior()) {
+          chain = chain.defined() ? concat_cols({chain, p}) : p;
+        }
+        return chain;
+      });
+      const Pass op =
+          run_pass(parts, up, [&] { return concat_cols(interior()); });
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      expect_same(composite, op);
+    }
+  });
 }
 
 TEST(Tensor, ShapeChecksThrow) {

@@ -290,6 +290,71 @@ TEST_F(ObsTest, TraceEventsBalanceAndParse) {
   EXPECT_EQ(begins, ends);
 }
 
+std::vector<std::string> profile_paths() {
+  std::vector<std::string> paths;
+  for (const auto& node : obs::build_profile().nodes) {
+    paths.push_back(node.path);
+  }
+  return paths;
+}
+
+TEST_F(ObsTest, PoolTaskSpansNestUnderThePostingSpan) {
+  util::ThreadPool pool(4);
+  {
+    CLO_TRACE_SPAN("outer");
+    util::parallel_for(&pool, 16, [&](std::size_t) {
+      CLO_TRACE_SPAN("worker");
+      util::parallel_for(&pool, 2, [](std::size_t) {  // runs inline
+        CLO_TRACE_SPAN("leaf");
+      });
+    });
+  }
+  util::parallel_for(&pool, 4, [](std::size_t) { CLO_TRACE_SPAN("rootless"); });
+#if defined(CLO_OBS_DISABLE)
+  EXPECT_TRUE(profile_paths().empty());
+#else
+  const auto profile = obs::build_profile();
+  std::vector<std::string> paths;
+  for (const auto& node : profile.nodes) {
+    paths.push_back(node.path);
+    if (node.path == "outer/worker") {
+      EXPECT_EQ(node.count, 16u);
+    }
+    if (node.path == "outer/worker/leaf") {
+      EXPECT_EQ(node.count, 32u);
+    }
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{"outer", "outer/worker",
+                                             "outer/worker/leaf",
+                                             "rootless"}));
+#endif
+}
+
+TEST_F(ObsTest, ProfileHasTheSamePathsAtEveryThreadCount) {
+  std::vector<std::vector<std::string>> runs;
+  for (int threads : {1, 4}) {
+    obs::reset_trace();
+    shell::Shell sh;
+    sh.set_threads(threads);
+    std::ostringstream out;
+    sh.execute("gen c17", out);
+    sh.execute("tune 8 2", out);
+    ASSERT_FALSE(sh.last_failed()) << out.str();
+    runs.push_back(profile_paths());
+  }
+  EXPECT_EQ(runs[0], runs[1]);
+#if !defined(CLO_OBS_DISABLE)
+  // The restart loop this nests is under the optimize phase, not the root.
+  const auto& paths = runs[1];
+  EXPECT_NE(std::find(paths.begin(), paths.end(),
+                      "pipeline.optimize/optimize.batch"),
+            paths.end());
+  for (const auto& path : paths) {
+    EXPECT_NE(path.rfind("optimize.", 0), 0u) << path;
+  }
+#endif
+}
+
 TEST_F(ObsTest, PipelineSmokeWritesTraceAndReport) {
   const std::string trace_path = "obs_smoke_trace.json";
   const std::string report_path = "obs_smoke_report.json";

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "clo/util/aligned.hpp"
 #include "clo/util/cancel.hpp"
 #include "clo/util/cli.hpp"
 #include "clo/util/csv.hpp"
@@ -527,6 +528,98 @@ TEST(Cancel, ScopedAmbientTokenNestsAndRestores) {
     EXPECT_EQ(util::current_cancel_token(), &outer);
   }
   EXPECT_EQ(util::current_cancel_token(), nullptr);
+}
+
+// ---- per-thread storage cache (util/aligned.hpp) ---------------------------
+//
+// Each test runs its allocations on fresh threads, so no other test's
+// frees sit in the cache it inspects.
+
+TEST(BlockCache, FreedBlockIsReusedOnTheFreeingThread) {
+  std::thread([] {
+    void* p = util::block_alloc(1000);
+    util::block_free(p, 1000);
+    EXPECT_EQ(util::block_cache_bytes(), 1024u);  // 1000 rounds to 16 * 64
+    void* q = util::block_alloc(1000);
+    EXPECT_EQ(q, p);
+    EXPECT_EQ(util::block_cache_bytes(), 0u);
+    util::block_free(q, 1000);
+  }).join();
+}
+
+TEST(BlockCache, BlockFreedOnAnotherThreadJoinsThatThreadsCache) {
+  util::AlignedFloats buf;
+  std::thread([&buf] { buf.assign(300, 1.0f); }).join();
+  const float* block = buf.data();
+  std::thread([&buf, block] {
+    util::AlignedFloats().swap(buf);  // free the other thread's block here
+    EXPECT_EQ(util::block_cache_bytes(), 1216u);
+    util::AlignedFloats again(300);
+    EXPECT_EQ(again.data(), block);
+  }).join();
+}
+
+TEST(BlockCache, BlockOutlivingItsThreadFreesSafely) {
+  util::AlignedFloats buf;
+  // The allocating thread has exited, and its cache is gone, by the time
+  // the block is freed.
+  std::thread([&buf] {
+    util::AlignedFloats warm(8);  // give this thread a cache to destroy
+    buf.assign(100, 2.0f);
+  }).join();
+  std::thread([&buf] {
+    EXPECT_EQ(buf[99], 2.0f);
+    util::AlignedFloats().swap(buf);
+    EXPECT_EQ(util::block_cache_bytes(), 448u);
+  }).join();
+}
+
+struct ExitProbe {
+  util::AlignedFloats buf;
+  std::size_t* cached_after_free = nullptr;
+  ~ExitProbe() {
+    util::AlignedFloats().swap(buf);
+    if (cached_after_free != nullptr) {
+      *cached_after_free = util::block_cache_bytes();
+    }
+  }
+};
+
+TEST(BlockCache, FreesAfterTheCacheIsDestroyedBypassIt) {
+  std::size_t cached = 12345;
+  std::thread([&cached] {
+    // Constructed before this thread's cache, so destroyed after it: its
+    // free runs once the cache is gone and must go to the system.
+    thread_local ExitProbe probe;
+    util::AlignedFloats warm(8);
+    probe.buf.assign(100, 3.0f);
+    probe.cached_after_free = &cached;
+  }).join();
+  EXPECT_EQ(cached, 0u);
+}
+
+TEST(BlockCache, ByteCapHolds) {
+  std::thread([] {
+    constexpr std::size_t kBlock = 4096;
+    std::vector<void*> blocks;
+    for (std::size_t i = 0; i < 2 * util::kBlockCacheBytes / kBlock; ++i) {
+      blocks.push_back(util::block_alloc(kBlock));
+    }
+    for (void* p : blocks) util::block_free(p, kBlock);
+    EXPECT_EQ(util::block_cache_bytes(), util::kBlockCacheBytes);
+    // Blocks above the size limit are never cached.
+    const std::size_t big = util::kBlockCacheMaxBlock + 1;
+    util::block_free(util::block_alloc(big), big);
+    EXPECT_EQ(util::block_cache_bytes(), util::kBlockCacheBytes);
+    // Taking blocks back out drains the count to zero.
+    for (std::size_t i = 0; i < util::kBlockCacheBytes / kBlock; ++i) {
+      blocks[i] = util::block_alloc(kBlock);
+    }
+    EXPECT_EQ(util::block_cache_bytes(), 0u);
+    for (std::size_t i = 0; i < util::kBlockCacheBytes / kBlock; ++i) {
+      util::block_free(blocks[i], kBlock);
+    }
+  }).join();
 }
 
 }  // namespace
